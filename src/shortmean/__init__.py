@@ -4,6 +4,6 @@ N-term asymptotic predictions, and numerical checks of the supporting
 zeta estimates.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .functions import ALL_FNS, MultFnId  # noqa: F401

@@ -22,13 +22,12 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import constants as _constants
 from .constants import CONSTANTS_DPS, gamma_route_K, pi_taylor
 from .eulerform import DISCREPANCY_FLAGS, euler_form
 from .functions import ALL_FNS, ZETA_POWER_DENOM, MultFnId
 from .sieve import interval_sum
+from .zetachecks import GROWTH_C
 
-GROWTH_C = Fraction(64, 205)
 DENSITY_EXPONENT = Fraction(12, 5)
 
 H_THRESHOLD_NOTE = (
@@ -157,9 +156,7 @@ class AsymptoticModel:
 def model(fid: MultFnId, N: int, cumulative: bool = False) -> AsymptoticModel:
     key = (fid, N, cumulative)
     if key not in _MODEL_CACHE:
-        old = mp.dps
-        mp.dps = CONSTANTS_DPS
-        try:
+        with mp.workdps(CONSTANTS_DPS):
             pe = _pi_expansion(fid, N)
             if cumulative:
                 run = mp.mpf(0)
@@ -171,8 +168,6 @@ def model(fid: MultFnId, N: int, cumulative: bool = False) -> AsymptoticModel:
                 Pi = pe.Pi[: N + 1]
             a = pe.a
             K = tuple(float(gamma_route_K(a, n, Pi[n])) for n in range(N + 1))
-        finally:
-            mp.dps = old
         _MODEL_CACHE[key] = AsymptoticModel(
             fid=fid, a=a, K=K, N=N, cumulative=cumulative,
             error_budget=pe.error_budget,
@@ -218,9 +213,8 @@ class PredictionReport:
     thresholds: HThreshold | None
     tolerance: float
     passed: bool
-    runtime_ms: float | None = None
 
-    def to_json_dict(self, include_runtime=False):
+    def to_json_dict(self):
         d = {
             "fid": str(self.fid),
             "x": self.x,
@@ -241,7 +235,6 @@ class PredictionReport:
             ),
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "runtime_ms": self.runtime_ms if include_runtime else None,
             "flags": (
                 [DISCREPANCY_FLAGS[self.fid]]
                 if self.fid in DISCREPANCY_FLAGS
@@ -254,9 +247,6 @@ class PredictionReport:
 def compare(fid: MultFnId, x: int, h: int, N: int, tolerance: float = 0.05,
             threads: int = 1) -> PredictionReport:
     """Exact sieve sum vs N-term prediction over (x, x+h]."""
-    import time as _time
-
-    t0 = _time.perf_counter()
     s = interval_sum(fid, x, h, threads=threads)
     pred, budget, lagrange = predict(fid, x, h, N)
     exact_f = s.approx
@@ -270,5 +260,4 @@ def compare(fid: MultFnId, x: int, h: int, N: int, tolerance: float = 0.05,
         budget=budget, lagrange=lagrange,
         thresholds=thresholds, tolerance=tolerance,
         passed=bool(rel_err <= tolerance),
-        runtime_ms=(_time.perf_counter() - t0) * 1e3,
     )

@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-from mpmath import mp
-
 from . import __version__
 from .asymptotics import (
     ExponentTable,
@@ -21,17 +19,12 @@ from .asymptotics import (
     h_threshold,
     predict,
 )
-from .constants import (
-    CONSTANTS_DPS,
-    PrecisionError,
-    constants_report,
-    ramanujan_A0,
-)
+from .constants import PrecisionError, constants_report, ramanujan_A0
 from .eulerform import euler_form
 from .functions import ALL_FNS, MultFnId
 from .perron import fit_loglog_slope, perron_error_scan, perron_truncated
 from .reports import csv_report, json_report, svg_plot
-from .sieve import CapacityError, interval_sum, interval_sums_all
+from .sieve import CapacityError, interval_sums_all
 from .zetachecks import second_moment
 
 
@@ -81,13 +74,10 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="output path (stdout if absent)")
         sp.add_argument("--format", default="json",
                         choices=["json", "csv", "svg"])
-        sp.add_argument("--precision", default=None,
-                        choices=["double", "extended"],
-                        help="extended (default) for constants, double for scans")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("sum", help="exact short-interval sums from the sieve")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
 
@@ -103,12 +93,11 @@ def _build_parser():
 
     sp = sub.add_parser("compare", help="sieve truth vs prediction")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--N", type=int, default=2)
     sp.add_argument("--tolerance", type=float, default=0.05)
-    sp.add_argument("--timings", action="store_true",
-                    help="include runtime_ms (breaks byte-determinism)")
 
     sp = sub.add_parser("perron", help="truncated Perron error scan")
     common(sp)
@@ -126,6 +115,7 @@ def _build_parser():
 
     sp = sub.add_parser("sweep", help="prediction error across an x grid")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--xs", required=True, help="comma list, e.g. 1e6,1e7,1e8")
     sp.add_argument("--h-rule", dest="h_rule", default="x^0.7",
                     help="h as a power of x, e.g. x^0.7")
@@ -158,14 +148,8 @@ def _cmd_sum(args):
 
 def _cmd_constants(args):
     fids = _fids(args.fn)
-    dps = 15 if args.precision == "double" else CONSTANTS_DPS
-    old = mp.dps
-    mp.dps = dps
-    try:
-        results = [constants_report(fid, N=args.N) for fid in fids]
-        a0, a0_bound, a0_cross = ramanujan_A0()
-    finally:
-        mp.dps = old
+    results = [constants_report(fid, N=args.N) for fid in fids]
+    a0, a0_bound, a0_cross = ramanujan_A0()
     payload = {
         "report": "constants",
         "N": args.N,
@@ -213,8 +197,7 @@ def _cmd_compare(args):
     ]
     payload = {
         "report": "compare",
-        "results": [r.to_json_dict(include_runtime=args.timings)
-                    for r in reports],
+        "results": [r.to_json_dict() for r in reports],
     }
     return json_report(payload)
 

@@ -15,8 +15,10 @@ Pi(u) = G(1-u) * w(1-u)^a * zeta(2-2u)^b, and the expansion constants are
     K_n = (-1)^n Pi_n / Gamma(a - n) = sin(pi a)/pi * Gamma(n+1-a) * Pi_n,
 
 computed both ways as a consistency check.  Taylor coefficients Pi_n are
-extracted by trapezoid quadrature on a circle (node doubling until the
-coefficients settle), not by repeated differentiation.
+extracted by trapezoid quadrature on a circle, not by repeated
+differentiation.  The node count is fixed in advance by `_aliasing_nodes`
+from the radius of analyticity of Pi, so that the aliasing error stays
+below the budget carried with the result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .eulerform import EulerForm, euler_form, inv_tau_euler_form, local_series
-from .functions import MultFnId, inv_tau_local_value
+from .functions import MultFnId, spec
 from .powerseries import log_one_minus_x
 from .sieve import primes_up_to
 from .zeta import prime_zeta, prime_zeta_hp, w_hp, zeta_hp
@@ -43,51 +45,24 @@ class PrecisionError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# local Euler factors F_p(s) in closed form
-
-def _local_factor_hp(label, X):
-    """F_p as a function of X = p^{-s}, mpmath scalar."""
-    if label is MultFnId.INV_TAU_SQ:
-        z = mp.sqrt(X)
-        return mp.atanh(z) / z  # sum X^k/(2k+1)
-    if label is MultFnId.INV_TAU_SQUARED:
-        return mp.polylog(2, X) / X  # sum X^k/(k+1)^2
-    if label is MultFnId.INV_TWO_OMEGA:
-        return (1 - X / 2) / (1 - X)
-    if label is MultFnId.INV_TWO_BIG_OMEGA:
-        return 1 / (1 - X / 2)
-    if label == "inv_tau":
-        return -mp.log(1 - X) / X  # sum X^k/(k+1)
-    raise ValueError(f"no closed-form local factor for {label!r}")
-
-
-def _local_factor_np(label, X):
-    """Same local factor, numpy-vectorized (complex arrays)."""
-    if label is MultFnId.INV_TAU_SQ:
-        z = np.sqrt(X)
-        return np.arctanh(z) / z
-    if label is MultFnId.INV_TAU_SQUARED:
-        acc = np.zeros_like(X)
-        term = np.ones_like(X)
-        for k in range(1, 80):
-            term = term * X
-            acc = acc + term / (k + 1) ** 2
-        return 1.0 + acc
-    if label is MultFnId.INV_TWO_OMEGA:
-        return (1 - X / 2) / (1 - X)
-    if label is MultFnId.INV_TWO_BIG_OMEGA:
-        return 1 / (1 - X / 2)
-    if label == "inv_tau":
-        return -np.log(1 - X) / X
-    raise ValueError(f"no closed-form local factor for {label!r}")
-
+# ln G_p(s) = ln F_p(X) + a ln(1-X) + b ln(1-X^2), X = p^{-s}
 
 def _ln_G_p_hp(ef: EulerForm, p, s):
     X = mp.power(p, -s)
     return (
-        mp.log(_local_factor_hp(ef.fid, X))
+        mp.log(spec(ef.fid).factor_hp(X))
         + mpf(ef.a.numerator) / ef.a.denominator * mp.log(1 - X)
         + mpf(ef.b.numerator) / ef.b.denominator * mp.log(1 - X * X)
+    )
+
+
+def ln_G_p_np(ef: EulerForm, X):
+    """ln G_p at an array of X = p^{-s}, double precision."""
+    a, b = float(ef.a), float(ef.b)
+    return (
+        np.log(spec(ef.fid).factor_np(X))
+        + a * np.log(1 - X)
+        + b * np.log(1 - X * X)
     )
 
 
@@ -140,15 +115,9 @@ def G_product_direct(ef: EulerForm, s, limit=10**6):
     """
     s = complex(s)
     total = 0.0 + 0.0j
-    a, b = float(ef.a), float(ef.b)
     for p_block in np.array_split(primes_up_to(limit), max(1, limit // 10**6)):
         X = np.exp(-s * np.log(p_block.astype(float)))
-        lnGp = (
-            np.log(_local_factor_np(ef.fid, X))
-            + a * np.log(1 - X)
-            + b * np.log(1 - X * X)
-        )
-        total += lnGp.sum()
+        total += ln_G_p_np(ef, X).sum()
     # |ln G_p| <~ gmax * p^{-3 sigma} / (1 - p^{-sigma})
     sigma = s.real
     gmax = float(_g_bound(ef))
@@ -280,13 +249,8 @@ def pi_taylor(ef: EulerForm, N: int, radius=0.125, nodes=None,
 def constants_report(fid: MultFnId, N=4, order=None):
     """JSON-ready constants for one function id."""
     ef = euler_form(fid) if order is None else euler_form(fid, order)
-    old = mp.dps
-    mp.dps = CONSTANTS_DPS
-    try:
-        pe = pi_taylor(ef, N)
-        d = pe.to_json_dict()
-    finally:
-        mp.dps = old
+    with mp.workdps(CONSTANTS_DPS):
+        d = pi_taylor(ef, N).to_json_dict()
     d["b"] = f"{ef.b.numerator}/{ef.b.denominator}"
     d["flags"] = list(ef.flags)
     return d
@@ -301,7 +265,7 @@ def _eq1_tail_coeffs(order=10):
     d_1 vanishes; the series starts at 1/p^2, which is what makes the
     direct product converge.
     """
-    series = local_series(inv_tau_local_value, order)  # sum t^k/(k+1)
+    series = local_series("inv_tau", order)  # sum t^k/(k+1)
     lf = series.log() + log_one_minus_x(order).scale(Fraction(1, 2))
     assert lf[1] == 0
     return lf.coeffs
@@ -334,13 +298,9 @@ def ramanujan_A0_product(limit=10**6, tail_order=8):
 def ramanujan_A0_eulerform(order=24):
     """Independent route: A0 = Pi_0 / Gamma(1/2) from the 1/tau Euler form."""
     ef = inv_tau_euler_form(order)
-    old = mp.dps
-    mp.dps = CONSTANTS_DPS
-    try:
+    with mp.workdps(CONSTANTS_DPS):
         pi0 = pi_function(ef, 0)
         return float(pi0.real / mp.sqrt(mp.pi))
-    finally:
-        mp.dps = old
 
 
 def ramanujan_A0():

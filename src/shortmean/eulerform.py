@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .functions import MultFnId, local_value, inv_tau_local_value
+from .functions import MultFnId, local_value
 from .powerseries import PowerSeriesQ, log_one_minus_x, log_one_minus_x2
 
 DEFAULT_ORDER = 24
@@ -38,29 +38,21 @@ DISCREPANCY_FLAGS = {
 }
 
 
-def local_series(rule, order: int) -> PowerSeriesQ:
+def local_series(fid, order: int) -> PowerSeriesQ:
     """F_p as a truncated series: coefficient at X^k is f(p^k).
 
-    `rule` is a MultFnId or a callable k -> Fraction.
+    `fid` is a MultFnId or "inv_tau".
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    if isinstance(rule, MultFnId):
-        fid = rule
-        rule = lambda k: local_value(fid, k)
-    return PowerSeriesQ([rule(k) for k in range(order + 1)])
-
-
-def series_log(ps: PowerSeriesQ) -> PowerSeriesQ:
-    """Exact truncated logarithm of a series with constant coefficient 1."""
-    return ps.log()
+    return PowerSeriesQ([local_value(fid, k) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
 class EulerForm:
     """The data (a, b, g_3..g_M) of F = zeta^a zeta(2s)^b exp(sum g_n P(ns))."""
 
-    fid: object  # MultFnId, or a label string for ad-hoc rules
+    fid: object  # MultFnId, or "inv_tau"
     a: Fraction
     b: Fraction
     g: tuple  # g[0] is g_1 = 0, g[1] is g_2 = 0, g[n-1] is g_n
@@ -92,28 +84,28 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def euler_form_from_rule(rule, order: int, label) -> EulerForm:
+def _derive(fid, order: int) -> EulerForm:
     if order < 3:
         raise ValueError("order must be >= 3")
-    lf = local_series(rule, order).log()
+    lf = local_series(fid, order).log()
     a = lf[1]
     b = lf[2] - a / 2
     # ln F_p = -a ln(1-X) - b ln(1-X^2) + sum g_n X^n
     rest = lf + log_one_minus_x(order).scale(a) + log_one_minus_x2(order).scale(b)
     g = tuple(rest.coeffs[1:])
     assert g[0] == 0 and g[1] == 0, "g_1 = g_2 = 0 must hold by construction"
-    flags = (DISCREPANCY_FLAGS[label],) if label in DISCREPANCY_FLAGS else ()
-    return EulerForm(fid=label, a=a, b=b, g=g, order=order, flags=flags)
+    flags = (DISCREPANCY_FLAGS[fid],) if fid in DISCREPANCY_FLAGS else ()
+    return EulerForm(fid=fid, a=a, b=b, g=g, order=order, flags=flags)
 
 
 def euler_form(fid: MultFnId, order: int = DEFAULT_ORDER) -> EulerForm:
     """Derive (a, b, g_n) for one of the four target functions."""
-    return euler_form_from_rule(fid, order, fid)
+    return _derive(fid, order)
 
 
 def inv_tau_euler_form(order: int = DEFAULT_ORDER) -> EulerForm:
     """Euler form of 1/tau(n): a = 1/2, b = -1/24."""
-    return euler_form_from_rule(inv_tau_local_value, order, "inv_tau")
+    return _derive("inv_tau", order)
 
 
 def g_coefficient(fid: MultFnId, n: int, order: int = DEFAULT_ORDER) -> Fraction:

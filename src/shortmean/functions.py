@@ -8,7 +8,8 @@ depends only on the exponent k:
     f3(p^k) = 1/2 for k>=1  (2^{-omega(n)})
     f4(p^k) = 2^{-k}        (2^{-Omega(n)})
 
-The value at n = 1 is the empty product, 1.
+The value at n = 1 is the empty product, 1.  `spec(fid)` holds the
+rule of each function together with the forms derived from it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
+
+import numpy as np
+from mpmath import mp
 
 
 class MultFnId(enum.Enum):
@@ -32,37 +37,112 @@ class MultFnId(enum.Enum):
 
 ALL_FNS = tuple(MultFnId)
 
-# Index of the 1/a denominator (the zeta-power k_j of each theorem).
-ZETA_POWER_DENOM = {
-    MultFnId.INV_TAU_SQ: 3,
-    MultFnId.INV_TAU_SQUARED: 4,
-    MultFnId.INV_TWO_OMEGA: 2,
-    MultFnId.INV_TWO_BIG_OMEGA: 2,
+
+@dataclass(frozen=True)
+class FnSpec:
+    """One function's local rule and the forms derived from it.
+
+    Every per-function formula lives here, so no other module branches
+    on which function it is given.
+    """
+
+    local: Callable        # k -> f(p^k) as an exact rational, for k >= 1
+    factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k, mpmath scalar
+    factor_np: Callable    # the same F_p, numpy-vectorized (complex arrays)
+    denominator: Callable  # (tau_n2, tau, omega, big_omega) -> 1/f(n) arrays
+
+
+def _f1_hp(X):
+    z = mp.sqrt(X)
+    return mp.atanh(z) / z  # sum X^k/(2k+1)
+
+
+def _f1_np(X):
+    z = np.sqrt(X)
+    return np.arctanh(z) / z
+
+
+def _f2_np(X):
+    # no numpy dilogarithm; 80 terms reach double precision for |X| <= 0.7
+    acc = np.zeros_like(X)
+    term = np.ones_like(X)
+    for k in range(1, 80):
+        term = term * X
+        acc = acc + term / (k + 1) ** 2
+    return 1.0 + acc
+
+
+def _f2_denominator(tau_n2, tau, omega, big_omega):
+    return tau.astype(object) ** 2 if tau.max() > 3_000_000 else tau**2
+
+
+def _f3_factor(X):
+    return (1 - X / 2) / (1 - X)
+
+
+def _f4_factor(X):
+    return 1 / (1 - X / 2)
+
+
+_SPECS = {
+    MultFnId.INV_TAU_SQ: FnSpec(
+        local=lambda k: Fraction(1, 2 * k + 1),
+        factor_hp=_f1_hp,
+        factor_np=_f1_np,
+        denominator=lambda tau_n2, tau, omega, big_omega: tau_n2,
+    ),
+    MultFnId.INV_TAU_SQUARED: FnSpec(
+        local=lambda k: Fraction(1, (k + 1) ** 2),
+        factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
+        factor_np=_f2_np,
+        denominator=_f2_denominator,
+    ),
+    MultFnId.INV_TWO_OMEGA: FnSpec(
+        local=lambda k: Fraction(1, 2),
+        factor_hp=_f3_factor,
+        factor_np=_f3_factor,
+        denominator=lambda tau_n2, tau, omega, big_omega: (
+            np.int64(1) << omega.astype(np.int64)
+        ),
+    ),
+    MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
+        local=lambda k: Fraction(1, 2**k),
+        factor_hp=_f4_factor,
+        factor_np=_f4_factor,
+        denominator=lambda tau_n2, tau, omega, big_omega: (
+            np.int64(1) << big_omega.astype(np.int64)
+        ),
+    ),
+    # 1/tau(n), for the Ramanujan constant cross-check only
+    "inv_tau": FnSpec(
+        local=lambda k: Fraction(1, k + 1),
+        factor_hp=lambda X: -mp.log(1 - X) / X,  # sum X^k/(k+1)
+        factor_np=lambda X: -np.log(1 - X) / X,
+        denominator=lambda tau_n2, tau, omega, big_omega: tau,
+    ),
 }
 
 
-def local_value(fid: MultFnId, k: int) -> Fraction:
+def spec(fid) -> FnSpec:
+    """The FnSpec of a MultFnId, or of "inv_tau" (1/tau(n))."""
+    try:
+        return _SPECS[fid]
+    except KeyError:
+        raise ValueError(f"unknown function id {fid!r}") from None
+
+
+# The zeta power k_j of each theorem is 1/a, and a = f(p): it is the X^1
+# coefficient of ln F_p, which the Euler form gives to zeta(s)^a.
+ZETA_POWER_DENOM = {fid: int(1 / spec(fid).local(1)) for fid in ALL_FNS}
+
+
+def local_value(fid, k: int) -> Fraction:
     """f(p^k) as an exact rational; k = 0 gives 1."""
     if k < 0:
         raise ValueError("exponent must be >= 0")
     if k == 0:
         return Fraction(1)
-    if fid is MultFnId.INV_TAU_SQ:
-        return Fraction(1, 2 * k + 1)
-    if fid is MultFnId.INV_TAU_SQUARED:
-        return Fraction(1, (k + 1) ** 2)
-    if fid is MultFnId.INV_TWO_OMEGA:
-        return Fraction(1, 2)
-    if fid is MultFnId.INV_TWO_BIG_OMEGA:
-        return Fraction(1, 2**k)
-    raise ValueError(f"unknown function id {fid!r}")
-
-
-def inv_tau_local_value(k: int) -> Fraction:
-    """Local rule of 1/tau(n), used by the Ramanujan constant cross-check."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    return Fraction(1, k + 1)
+    return spec(fid).local(k)
 
 
 @dataclass(frozen=True)

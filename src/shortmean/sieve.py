@@ -14,7 +14,6 @@ sum of count/value terms, so it stays cheap even over 10^8 integers.
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .functions import MultFnId, Factorization
+from .functions import MultFnId, Factorization, spec
 
 SEGMENT_WIDTH = 1 << 20
 SEGMENT_BUDGET = 1 << 22   # hard cap on a single sieve_segment request
@@ -149,25 +148,9 @@ def _segment_stats(lo, hi, base_primes):
     return tau_n2, tau, omega, big_omega
 
 
-_STAT_INDEX = {
-    MultFnId.INV_TAU_SQ: 0,
-    MultFnId.INV_TAU_SQUARED: 1,
-    MultFnId.INV_TWO_OMEGA: 2,
-    MultFnId.INV_TWO_BIG_OMEGA: 3,
-}
-
-
 def _denominator_counts(stats, fid):
     """Counter mapping f(n) = 1/d to the number of n with that denominator."""
-    tau_n2, tau, omega, big_omega = stats
-    if fid is MultFnId.INV_TAU_SQ:
-        vals = tau_n2
-    elif fid is MultFnId.INV_TAU_SQUARED:
-        vals = tau.astype(object) ** 2 if tau.max() > 3_000_000 else tau**2
-    elif fid is MultFnId.INV_TWO_OMEGA:
-        vals = np.int64(1) << omega.astype(np.int64)
-    else:
-        vals = np.int64(1) << big_omega.astype(np.int64)
+    vals = spec(fid).denominator(*stats)
     uniq, counts = np.unique(vals, return_counts=True)
     return Counter(dict(zip((int(v) for v in uniq), (int(c) for c in counts))))
 
@@ -215,26 +198,11 @@ class IntervalSum:
     approx: float
 
 
-def _neumaier_sum(terms):
-    s = 0.0
-    c = 0.0
-    for t in terms:
-        t = float(t)
-        tmp = s + t
-        if abs(s) >= abs(t):
-            c += (s - tmp) + t
-        else:
-            c += (t - tmp) + s
-        s = tmp
-    return s + c
-
-
 def _counts_to_sums(counts):
     exact = sum(
         (Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0)
     )
-    approx = _neumaier_sum(c / d for d, c in sorted(counts.items()))
-    return exact, approx
+    return exact, float(exact)  # float(Fraction) rounds correctly
 
 
 def interval_counts(x: int, h: int, threads: int = 1):

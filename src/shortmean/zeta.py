@@ -19,7 +19,6 @@ by panel quadrature; it serves as a cross-check of the main evaluator.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -30,12 +29,8 @@ _EM_K = 36  # Bernoulli correction depth (double precision)
 
 # B_{2k} for k = 1.._EM_K+1 as floats; |B_72|/72! etc. handled via ratios.
 def _bernoulli_floats(kmax):
-    old = mp.dps
-    mp.dps = 30
-    try:
+    with mp.workdps(30):
         return [float(mp.bernoulli(2 * k)) for k in range(1, kmax + 2)]
-    finally:
-        mp.dps = old
 
 
 _B2K = _bernoulli_floats(_EM_K)
@@ -272,13 +267,9 @@ def zeta_integral_rep(s, panels=10_000, nodes=8):
 
 def hardy_z(t):
     """Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t."""
-    old = mp.dps
-    mp.dps = 25
-    try:
+    with mp.workdps(25):
         theta = mp.im(mp.loggamma(mpf(0.25) + 0.5j * t)) - t / 2 * mp.log(mp.pi)
         theta = float(theta)
-    finally:
-        mp.dps = old
     z = zeta(0.5 + 1j * t)
     return (complex(math.cos(theta), math.sin(theta)) * z).real
 

@@ -12,7 +12,6 @@ from shortmean.functions import (
     Factorization,
     f_value,
     factorize,
-    inv_tau_local_value,
     local_value,
 )
 
@@ -49,7 +48,7 @@ def test_local_values_prime_power():
         assert local_value(MultFnId.INV_TAU_SQUARED, k) == Fraction(1, (k + 1) ** 2)
         assert local_value(MultFnId.INV_TWO_OMEGA, k) == Fraction(1, 2)
         assert local_value(MultFnId.INV_TWO_BIG_OMEGA, k) == Fraction(1, 2**k)
-        assert inv_tau_local_value(k) == Fraction(1, k + 1)
+        assert local_value("inv_tau", k) == Fraction(1, k + 1)
 
 
 def test_f_value_at_one_is_one():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from shortmean.functions import MultFnId, f_value
+from shortmean.constants import ln_G_hp
+from shortmean.functions import ALL_FNS, MultFnId, f_value
 from shortmean.perron import (
     F_eval,
     fit_loglog_slope,
@@ -64,6 +66,18 @@ def test_ln_G_line_domain_guard():
     ef = euler_form(MultFnId.INV_TAU_SQ)
     with pytest.raises(ValueError):
         ln_G_line(ef, np.array([1.0 + 3j]))
+
+
+def test_ln_G_line_truncation_budget():
+    # the dropped prime tail is largest at t = 0 (7.7e-10 for f3 and f4)
+    s = np.array([1.05 + 0j, 1.05 + 7.3j])
+    for fid in ALL_FNS:
+        ef = euler_form(fid)
+        line = ln_G_line(ef, s)
+        with mp.workdps(30):
+            for si, got in zip(s, line):
+                ref, _ = ln_G_hp(ef, mp.mpc(si))
+                assert abs(got - complex(ref)) <= 1e-9, (fid, si)
 
 
 def test_perron_truncated_basics():

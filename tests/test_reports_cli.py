@@ -2,8 +2,10 @@
 
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,25 @@ def test_usage_errors_exit_1():
     assert cap(["series", "--fn", "f1", "--format", "svg"])[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--fn", "f4", "--N", "2", "--precision", "double"],
+    ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000", "--timings"],
+    ["constants", "--fn", "f4", "--N", "2", "--threads", "2"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    assert cap(argv)[0] == 1
+
+
+def test_version_matches_pyproject(capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    want = re.search(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(),
+                     re.MULTILINE).group(1)
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == want
+
+
 def test_capacity_error_exit_2():
     rc, _ = cap(["sum", "--fn", "f1", "--x", str(2**63 - 8), "--h", "6"])
     assert rc == 2
@@ -130,7 +151,7 @@ def test_compare_json_flags_and_no_runtime():
     assert rc == 0
     doc = json.loads(out)
     r = doc["results"][0]
-    assert r["runtime_ms"] is None
+    assert "runtime_ms" not in r
     assert any("19/244" in f for f in r["flags"])
 
 

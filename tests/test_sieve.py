@@ -87,6 +87,12 @@ def test_sieve_segment_factorizations():
         assert fac == factorize(fac.n)
 
 
+def test_approx_is_correctly_rounded():
+    # a compensated float sum is 1 ulp off here
+    s = interval_sum(MultFnId.INV_TAU_SQ, 0, 101100)
+    assert s.approx == float(s.exact)
+
+
 def test_approx_tracks_exact():
     s = interval_sum(MultFnId.INV_TWO_OMEGA, 10**6, 10**4)
     assert s.approx == pytest.approx(float(s.exact), rel=1e-12)
