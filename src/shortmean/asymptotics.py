@@ -23,8 +23,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .constants import CONSTANTS_DPS, gamma_route_K, pi_taylor
-from .eulerform import DISCREPANCY_FLAGS, euler_form
-from .functions import ALL_FNS, ZETA_POWER_DENOM, MultFnId
+from .eulerform import euler_form
+from .functions import ALL_FNS, ZETA_POWER_DENOM, MultFnId, spec
 from .sieve import interval_sum
 from .zetachecks import GROWTH_C
 
@@ -215,6 +215,7 @@ class PredictionReport:
     passed: bool
 
     def to_json_dict(self):
+        flag = spec(self.fid).flag
         d = {
             "fid": str(self.fid),
             "x": self.x,
@@ -235,11 +236,7 @@ class PredictionReport:
             ),
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "flags": (
-                [DISCREPANCY_FLAGS[self.fid]]
-                if self.fid in DISCREPANCY_FLAGS
-                else []
-            ),
+            "flags": [flag] if flag else [],
         }
         return d
 

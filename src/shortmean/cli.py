@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: sum, constants, predict, compare, perron, zeta-moment,
-series, sweep.  Output is JSON by default (stdout, or --out PATH); scans
-can also emit CSV or SVG.  Exit codes: 0 success, 1 usage error,
-2 capacity/precision error.
+series, sweep.  Output is JSON (stdout, or --out PATH); the perron scan,
+zeta-moment and sweep can also emit CSV or SVG with --format.  Exit
+codes: 0 success, 1 usage error, 2 capacity/precision error.
 """
 
 from __future__ import annotations
@@ -67,13 +67,14 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, fn=True):
+    def common(sp, fn=True, plot=False):
         if fn:
             sp.add_argument("--fn", default="all",
                             help="f1|f2|f3|f4|all")
         sp.add_argument("--out", default=None, help="output path (stdout if absent)")
-        sp.add_argument("--format", default="json",
-                        choices=["json", "csv", "svg"])
+        if plot:
+            sp.add_argument("--format", default="json",
+                            choices=["json", "csv", "svg"])
 
     sp = sub.add_parser("sum", help="exact short-interval sums from the sieve")
     common(sp)
@@ -100,13 +101,13 @@ def _build_parser():
     sp.add_argument("--tolerance", type=float, default=0.05)
 
     sp = sub.add_parser("perron", help="truncated Perron error scan")
-    common(sp)
+    common(sp, plot=True)
     sp.add_argument("--x", type=float, default=1000.5)
     sp.add_argument("--T", default=None,
                     help="single T, or comma list for a scan")
 
     sp = sub.add_parser("zeta-moment", help="critical-line second moment scan")
-    common(sp, fn=False)
+    common(sp, fn=False, plot=True)
     sp.add_argument("--T", default="100,1000,3000")
 
     sp = sub.add_parser("series", help="Euler-form exponents and g-coefficients")
@@ -114,7 +115,7 @@ def _build_parser():
     sp.add_argument("--order", type=int, default=12)
 
     sp = sub.add_parser("sweep", help="prediction error across an x grid")
-    common(sp)
+    common(sp, plot=True)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--xs", required=True, help="comma list, e.g. 1e6,1e7,1e8")
     sp.add_argument("--h-rule", dest="h_rule", default="x^0.7",
@@ -235,6 +236,8 @@ def _cmd_perron(args):
             ],
         }
         return json_report(payload)
+    if args.format != "json":
+        raise UsageError(f"--format {args.format} needs a comma list of T")
     T = float(args.T) if args.T else 1000.0
     run = perron_truncated(fid, args.x, T)
     return json_report({"report": "perron", "run": run.to_json_dict()})
@@ -335,17 +338,10 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
 }
 
-_PLOTTABLE = {"perron", "zeta-moment", "sweep"}
-
-
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.format == "svg" and args.cmd not in _PLOTTABLE:
-            raise UsageError(f"--format svg not supported for {args.cmd!r}")
-        if args.format == "csv" and args.cmd not in _PLOTTABLE:
-            raise UsageError(f"--format csv not supported for {args.cmd!r}")
         payload = _HANDLERS[args.cmd](args)
         return _emit(args, payload)
     except UsageError as exc:

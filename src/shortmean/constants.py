@@ -74,12 +74,13 @@ def _g_bound(ef):
     return max(abs(g) for g in ef.g[2:]) if len(ef.g) > 2 else Fraction(1, 6)
 
 
-def ln_G_hp(ef: EulerForm, s, P0=DEFAULT_P0):
+def ln_G_hp(ef: EulerForm, s):
     """ln G(s) at working precision; returns (value, truncation_bound).
 
     Requires Re s > 1/3 (in practice all callers have Re s >= 3/4).
     """
     s = mpc(s)
+    P0 = DEFAULT_P0
     sigma = float(s.real)
     if sigma <= 1 / 3:
         raise ValueError("ln_G requires Re s > 1/3")
@@ -130,13 +131,13 @@ def G_product_direct(ef: EulerForm, s, limit=10**6):
 # ---------------------------------------------------------------------------
 # Pi(u) and its Taylor coefficients
 
-def pi_function(ef: EulerForm, u, P0=DEFAULT_P0):
+def pi_function(ef: EulerForm, u):
     """Pi(u) = G(1-u) * w(1-u)^a * zeta(2-2u)^b, principal branches."""
     u = mpc(u)
     if abs(u) > 0.25 + 1e-12:
         raise ValueError("pi_function requires |u| <= 1/4")
     s = 1 - u
-    lng, _ = ln_G_hp(ef, s, P0=P0)
+    lng, _ = ln_G_hp(ef, s)
     wbase = w_hp(s)
     zbase = zeta_hp(2 - 2 * u)
     # all base points sit in a disc around the positive reals
@@ -181,19 +182,20 @@ def gamma_route_K(a: Fraction, n: int, Pi_n):
 # zeta(2-2u) at u = 1/2); using the conservative radius of analyticity
 # below keeps the aliasing bound honest with room to spare.
 _PI_ANALYTIC_RADIUS = 0.4
+_PI_SUP_BOUND = 4.0     # bound on |Pi| over that disc, for the aliasing terms
+_ALIAS_TARGET = 1e-21
 
 
-def _aliasing_nodes(radius, target=1e-21, sup_bound=4.0, N=4):
+def _aliasing_nodes(radius, N):
     """Node count Q so that trapezoid aliasing | c_{n+Q} r^Q | stays
-    below `target` for every extracted coefficient n <= N."""
+    below _ALIAS_TARGET for every extracted coefficient n <= N."""
     ratio = radius / _PI_ANALYTIC_RADIUS
-    amp = sup_bound * _PI_ANALYTIC_RADIUS ** (-N)
-    Q = math.ceil(math.log(target / amp) / math.log(ratio)) + 2
+    amp = _PI_SUP_BOUND * _PI_ANALYTIC_RADIUS ** (-N)
+    Q = math.ceil(math.log(_ALIAS_TARGET / amp) / math.log(ratio)) + 2
     return Q + (Q % 2)  # even, so conjugate pairing covers every node
 
 
-def pi_taylor(ef: EulerForm, N: int, radius=0.125, nodes=None,
-              P0=DEFAULT_P0) -> PiExpansion:
+def pi_taylor(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
     """Taylor coefficients Pi_0..Pi_N by circle quadrature at |u| = radius.
 
     The trapezoid rule on Q nodes recovers c_n up to aliasing terms
@@ -207,15 +209,13 @@ def pi_taylor(ef: EulerForm, N: int, radius=0.125, nodes=None,
         raise ValueError("need 0 <= N <= 8")
     if not 0 < radius <= 0.25:
         raise ValueError("need 0 < radius <= 1/4")
-    Q = nodes if nodes is not None else _aliasing_nodes(radius, N=N)
-    if Q % 2:
-        raise ValueError("node count must be even")
+    Q = _aliasing_nodes(radius, N)
     # extraction divides by radius^n, amplifying node-level rounding noise
     # by up to radius^{-N}; pin the working precision so a low ambient
     # mp.dps cannot silently degrade the coefficients
     with mp.workdps(max(mp.dps, CONSTANTS_DPS)):
         half = [
-            pi_function(ef, radius * mp.exp(2j * mp.pi * q / Q), P0=P0)
+            pi_function(ef, radius * mp.exp(2j * mp.pi * q / Q))
             for q in range(Q // 2 + 1)
         ]
         vals = half + [mp.conj(half[Q - q]) for q in range(Q // 2 + 1, Q)]
@@ -228,11 +228,11 @@ def pi_taylor(ef: EulerForm, N: int, radius=0.125, nodes=None,
 
         imag_resid = max(abs(c.imag) for c in cur)
         alias = float(
-            4.0
+            _PI_SUP_BOUND
             * _PI_ANALYTIC_RADIUS ** (-N)
             * (radius / _PI_ANALYTIC_RADIUS) ** Q
         )
-        _, lng_tail = ln_G_hp(ef, mpc(1 - radius), P0=P0)
+        _, lng_tail = ln_G_hp(ef, mpc(1 - radius))
         Pi = [c.real for c in cur]
         K = [gamma_route_K(ef.a, n, Pi[n]) for n in range(N + 1)]
     return PiExpansion(
@@ -246,9 +246,9 @@ def pi_taylor(ef: EulerForm, N: int, radius=0.125, nodes=None,
     )
 
 
-def constants_report(fid: MultFnId, N=4, order=None):
+def constants_report(fid: MultFnId, N=4):
     """JSON-ready constants for one function id."""
-    ef = euler_form(fid) if order is None else euler_form(fid, order)
+    ef = euler_form(fid)
     with mp.workdps(CONSTANTS_DPS):
         d = pi_taylor(ef, N).to_json_dict()
     d["b"] = f"{ef.b.numerator}/{ef.b.denominator}"
@@ -259,7 +259,7 @@ def constants_report(fid: MultFnId, N=4, order=None):
 # ---------------------------------------------------------------------------
 # Ramanujan's leading constant for 1/tau
 
-def _eq1_tail_coeffs(order=10):
+def _eq1_tail_coeffs(order):
     """Rational coefficients d_k of ln[sqrt(p(p-1)) ln(p/(p-1))] in 1/p.
 
     d_1 vanishes; the series starts at 1/p^2, which is what makes the
@@ -271,15 +271,18 @@ def _eq1_tail_coeffs(order=10):
     return lf.coeffs
 
 
-def ramanujan_A0_product(limit=10**6, tail_order=8):
+_A0_TAIL_ORDER = 8
+
+
+def ramanujan_A0_product(limit=10**6):
     """A0 = (1/sqrt(pi)) prod_p sqrt(p(p-1)) ln(p/(p-1)), log-domain sum
     over p <= limit with a series tail correction.  Returns (value, bound).
     """
     p = primes_up_to(limit).astype(float)
     logf = 0.5 * (np.log(p) + np.log(p - 1)) + np.log(-np.log1p(-1.0 / p))
     total = float(np.sum(logf))
+    tail_order = _A0_TAIL_ORDER
     d = _eq1_tail_coeffs(tail_order)
-    partial_bound = 0.0
     for k in range(2, tail_order + 1):
         if d[k] == 0:
             continue

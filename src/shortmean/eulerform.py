@@ -11,8 +11,8 @@ ln G_p to vanish.  This normalization is what makes prod_p G_p converge
 for Re s > 1/3, and it is the criterion used throughout: the exponents
 are *derived* from the local series, never transcribed.
 
-Two derived values differ from commonly quoted displays and are flagged
-on the EulerForm record:
+Two derived values differ from commonly quoted displays; the text is
+`FnSpec.flag` and is carried on the EulerForm record:
 
   * f2: the derived zeta(2s) exponent is -13/288 (a display giving
     19/244 fails the g_2 = 0 identity);
@@ -26,16 +26,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .functions import MultFnId, local_value
+from .functions import MultFnId, local_value, spec
 from .powerseries import PowerSeriesQ, log_one_minus_x, log_one_minus_x2
 
 DEFAULT_ORDER = 24
-
-# Exponent pairs that disagree with printed displays; reports carry these.
-DISCREPANCY_FLAGS = {
-    MultFnId.INV_TAU_SQUARED: "zeta2s-exponent: derived -13/288 (display prints 19/244)",
-    MultFnId.INV_TWO_OMEGA: "zeta2s-exponent-sign: derived +1/8 (display prints -1/8)",
-}
 
 
 def local_series(fid, order: int) -> PowerSeriesQ:
@@ -94,7 +88,8 @@ def _derive(fid, order: int) -> EulerForm:
     rest = lf + log_one_minus_x(order).scale(a) + log_one_minus_x2(order).scale(b)
     g = tuple(rest.coeffs[1:])
     assert g[0] == 0 and g[1] == 0, "g_1 = g_2 = 0 must hold by construction"
-    flags = (DISCREPANCY_FLAGS[fid],) if fid in DISCREPANCY_FLAGS else ()
+    flag = spec(fid).flag
+    flags = (flag,) if flag else ()
     return EulerForm(fid=fid, a=a, b=b, g=g, order=order, flags=flags)
 
 

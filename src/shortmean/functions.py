@@ -50,6 +50,7 @@ class FnSpec:
     factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k, mpmath scalar
     factor_np: Callable    # the same F_p, numpy-vectorized (complex arrays)
     denominator: Callable  # (tau_n2, tau, omega, big_omega) -> 1/f(n) arrays
+    flag: str | None = None  # where a derived exponent disagrees with a display
 
 
 def _f1_hp(X):
@@ -96,6 +97,7 @@ _SPECS = {
         factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
         factor_np=_f2_np,
         denominator=_f2_denominator,
+        flag="zeta2s-exponent: derived -13/288 (display prints 19/244)",
     ),
     MultFnId.INV_TWO_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2),
@@ -104,6 +106,7 @@ _SPECS = {
         denominator=lambda tau_n2, tau, omega, big_omega: (
             np.int64(1) << omega.astype(np.int64)
         ),
+        flag="zeta2s-exponent-sign: derived +1/8 (display prints -1/8)",
     ),
     MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2**k),

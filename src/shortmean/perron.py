@@ -37,6 +37,10 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 _LNG_P0 = 61
 _LNG_CUTOFF = {3: 2000, 4: 200, 5: 61, 6: 61}
 
+# Below this height, where |F x^s/s| is largest and most oscillatory, the
+# contour is integrated on quarter-height panels instead of unit ones.
+_REFINE_BELOW = 64.0
+
 
 def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
     """ln G at an array of points with Re s >= 1.05, double precision."""
@@ -70,17 +74,10 @@ def F_eval(fid: MultFnId, s) -> np.ndarray:
     )
 
 
-def _panel_partials(fid, x, b, T, panel=1.0):
-    """Per-panel GL16 contributions to (1/pi) Re int_0^T F x^{b+it}/(b+it) dt.
-
-    Returns (uppers, partials): cumulative-sum-ready panel values with panel
-    boundaries at multiples of `panel` (last panel clipped at T).
-    """
-    edges = [0.0]
-    while edges[-1] < T:
-        edges.append(min(edges[-1] + panel, T))
-    lows = np.array(edges[:-1])
-    highs = np.array(edges[1:])
+def _gl16_partials(fid, x, b, lows, highs):
+    """GL16 values of (1/pi) Re int F x^{b+it}/(b+it) dt over each [low, high]."""
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
     mid = (lows + highs) / 2.0
     half = (highs - lows) / 2.0
     partials = np.empty(len(lows))
@@ -90,7 +87,20 @@ def _panel_partials(fid, x, b, T, panel=1.0):
         s = b + 1j * t
         integrand = F_eval(fid, s) * np.exp(s * math.log(x)) / s
         partials[i:i + block] = (integrand.real @ _GLW) * half[i:i + block]
-    return highs, partials / math.pi
+    return partials / math.pi
+
+
+def _panel_partials(fid, x, b, T, panel=1.0):
+    """Per-panel GL16 contributions to (1/pi) Re int_0^T F x^{b+it}/(b+it) dt.
+
+    Returns (uppers, partials): cumulative-sum-ready panel values with panel
+    boundaries at multiples of `panel` (last panel clipped at T).
+    """
+    edges = [0.0]
+    while edges[-1] < T:
+        edges.append(min(edges[-1] + panel, T))
+    highs = np.array(edges[1:])
+    return highs, _gl16_partials(fid, x, b, edges[:-1], highs)
 
 
 @dataclass
@@ -126,18 +136,14 @@ def _check_x(x):
         raise ValueError("x must be a half-integer N + 1/2 with x >= 10.5")
 
 
-def perron_truncated(fid: MultFnId, x: float, T: float,
-                     refine_below=64.0) -> PerronRun:
-    """One truncated-Perron evaluation; quadrature on unit-height panels.
-
-    Panels below `refine_below` (where |F x^s/s| is largest and most
-    oscillatory) are integrated with quarter-height panels instead.
-    """
+def perron_truncated(fid: MultFnId, x: float, T: float) -> PerronRun:
+    """One truncated-Perron evaluation; quadrature on unit-height panels,
+    quarter-height below _REFINE_BELOW."""
     _check_x(x)
     if T < 50:
         raise ValueError("need T >= 50")
     b = 1 + 1 / math.log(x)
-    lo_T = min(refine_below, T)
+    lo_T = min(_REFINE_BELOW, T)
     _, fine = _panel_partials(fid, x, b, lo_T, panel=0.25)
     total = float(np.sum(fine))
     if T > lo_T:
@@ -155,7 +161,9 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
     """Rows (T, abs_err, bound, ratio) for increasing T, one contour pass.
 
     The integral for every T in the scan is a prefix sum of the same panel
-    partials, so the whole scan costs one sweep to max(Ts).
+    partials, so the whole scan costs one sweep to max(Ts).  A T off that
+    grid (quarter steps below _REFINE_BELOW, unit steps above) adds one
+    GL16 panel from the last grid edge below it up to T.
     """
     _check_x(x)
     Ts = sorted(float(T) for T in Ts)
@@ -163,19 +171,29 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
         raise ValueError("need T >= 50")
     b = 1 + 1 / math.log(x)
     exact = float(interval_sum(fid, 0, int(x)).approx)
-    lo_T = 64.0
-    _, fine = _panel_partials(fid, x, b, lo_T, panel=0.25)
+    fine_uppers, fine = _panel_partials(fid, x, b, _REFINE_BELOW, panel=0.25)
     head = float(np.sum(fine))
     uppers, coarse = _panel_partials(fid, x, b, Ts[-1], panel=1.0)
     cum = np.cumsum(coarse)
-    rows = []
+    n_fine_units = int(_REFINE_BELOW)
+    edges, integrals = [], []  # last grid edge <= T, and the integral to it
     for T in Ts:
-        if T <= lo_T:
-            k = int(round(T * 4))
-            integral = float(np.sum(fine[:k]))
+        if T <= _REFINE_BELOW:
+            k = int(np.searchsorted(fine_uppers, T, side="right"))
+            edges.append(fine_uppers[k - 1])
+            integrals.append(float(np.sum(fine[:k])))
         else:
-            k = int(np.searchsorted(uppers, T * (1 - 1e-12)))
-            integral = head + float(cum[k] - cum[int(round(lo_T)) - 1])
+            k = int(np.searchsorted(uppers, T, side="right")) - 1
+            edges.append(uppers[k])
+            integrals.append(head + float(cum[k] - cum[n_fine_units - 1]))
+    off = [i for i, T in enumerate(Ts) if edges[i] < T]
+    if off:
+        tails = _gl16_partials(fid, x, b, [edges[i] for i in off],
+                               [Ts[i] for i in off])
+        for i, tail in zip(off, tails):
+            integrals[i] += float(tail)
+    rows = []
+    for T, integral in zip(Ts, integrals):
         err = abs(integral - exact)
         bound = x * math.log(x) / T
         rows.append((T, err, bound, err / bound))

@@ -13,8 +13,6 @@ sum of count/value terms, so it stays cheap even over 10^8 integers.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,8 +29,6 @@ MAX_N = (1 << 63) - 1
 BASE_PRIME_BUDGET = 1 << 26          # largest base-prime table we will build
 SIEVE_MAX_POINT = BASE_PRIME_BUDGET**2  # so endpoints stay within 2^52
 
-CACHE_MAGIC = b"MVFP1"
-
 
 class CapacityError(Exception):
     """Requested interval exceeds the configured sieve budget."""
@@ -44,50 +40,12 @@ class CapacityError(Exception):
 _prime_cache = {}
 
 
-def _cache_path(limit):
-    d = os.environ.get("MVF_CACHE_DIR")
-    if not d:
-        return None
-    return os.path.join(d, f"primes_{limit}.mvfp")
-
-
-def _load_prime_file(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            return None
-        data = fh.read()
-    if len(data) % 8:
-        return None
-    return np.frombuffer(data, dtype="<u8").astype(np.int64)
-
-
-def _store_prime_file(path, primes):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(primes.astype("<u8").tobytes())
-        os.replace(tmp, path)  # atomic publish
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, int64, cached in memory and optionally on disk."""
+    """All primes <= limit, int64, cached in memory by limit."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit in _prime_cache:
         return _prime_cache[limit]
-    path = _cache_path(limit)
-    if path and os.path.exists(path):
-        primes = _load_prime_file(path)
-        if primes is not None:
-            _prime_cache[limit] = primes
-            return primes
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -95,8 +53,6 @@ def primes_up_to(limit: int) -> np.ndarray:
             mask[p * p :: p] = False
     primes = np.nonzero(mask)[0].astype(np.int64)
     _prime_cache[limit] = primes
-    if path:
-        _store_prime_file(path, primes)
     return primes
 
 

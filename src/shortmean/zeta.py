@@ -36,12 +36,12 @@ def _bernoulli_floats(kmax):
 _B2K = _bernoulli_floats(_EM_K)
 
 
-def _em_terms_double(s, N, K=_EM_K, sum_to_N=True):
+def _em_terms_double(s, N):
     """Euler-Maclaurin pieces shared by zeta and w, vectorized over s.
 
-    Returns (direct, boundary, corrections) with
+    Returns (direct, n_pow, boundary, corrections) with n_pow = N^{-s} and
       zeta(s) = direct + N^{1-s}/(s-1) + boundary + corrections.
-    The N^{1-s}/(s-1) pole piece is left to the caller.
+    The N^{1-s}/(s-1) = n_pow * N/(s-1) pole piece is left to the caller.
     """
     s = np.asarray(s, dtype=complex)
     direct = np.zeros_like(s)
@@ -54,7 +54,7 @@ def _em_terms_double(s, N, K=_EM_K, sum_to_N=True):
     term = (_B2K[0] / 2.0) * s * n_pow / N  # k = 1 term
     corr = term.copy()
     invN2 = 1.0 / (N * N)
-    for k in range(1, K):
+    for k in range(1, _EM_K):
         ratio = _B2K[k] / _B2K[k - 1] / ((2 * k + 1) * (2 * k + 2))
         term = term * (s + (2 * k - 1)) * (s + 2 * k) * (ratio * invN2)
         corr += term
@@ -65,14 +65,28 @@ def _em_N(tmax):
     return max(24, int(0.25 * tmax) + 8)
 
 
-def zeta_em(s, N=None):
-    """zeta at an array of points, one shared truncation length N."""
+def zeta_em(s):
+    """zeta at an array of points, one truncation length N sized for max |Im s|."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    if N is None:
-        N = _em_N(float(np.max(np.abs(s.imag))))
+    N = _em_N(float(np.max(np.abs(s.imag))))
     direct, n_pow, boundary, corr = _em_terms_double(s, N)
     pole = n_pow * N / (s - 1.0)  # N^{1-s}/(s-1)
     return direct + pole + boundary + corr
+
+
+def _by_height(s, evaluate):
+    """Apply `evaluate` to groups of 1024 points of similar |Im s|.
+
+    Each group shares one truncation length, so sorting by height keeps
+    low points from paying for the N of high ones.
+    """
+    out = np.empty_like(s)
+    order = np.argsort(np.abs(s.imag), kind="stable")
+    group = 1024
+    for a in range(0, len(s), group):
+        idx = order[a : a + group]
+        out[idx] = evaluate(s[idx])
+    return out
 
 
 def zeta_many(s):
@@ -83,14 +97,7 @@ def zeta_many(s):
     s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
-    out = np.empty_like(s)
-    order = np.argsort(np.abs(s.imag), kind="stable")
-    group = 1024
-    for a in range(0, len(s), group):
-        idx = order[a : a + group]
-        sg = s[idx]
-        out[idx] = zeta_em(sg)
-    return out
+    return _by_height(s, zeta_em)
 
 
 def zeta(s):
@@ -98,19 +105,16 @@ def zeta(s):
     return complex(zeta_many(np.array([s]))[0])
 
 
+def _w_em(s):
+    N = _em_N(float(np.max(np.abs(s.imag))))
+    direct, n_pow, boundary, corr = _em_terms_double(s, N)
+    return (s - 1.0) * (direct + boundary + corr) + n_pow * N
+
+
 def w_many(s):
     """(s-1)*zeta(s), entire; removable singularity handled exactly."""
     s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    out = np.empty_like(s)
-    order = np.argsort(np.abs(s.imag), kind="stable")
-    group = 1024
-    for a in range(0, len(s), group):
-        idx = order[a : a + group]
-        sg = s[idx]
-        N = _em_N(float(np.max(np.abs(sg.imag))))
-        direct, n_pow, boundary, corr = _em_terms_double(sg, N)
-        out[idx] = (sg - 1.0) * (direct + boundary + corr) + n_pow * N
-    return out
+    return _by_height(s, _w_em)
 
 
 def w(s):
@@ -239,11 +243,15 @@ def prime_zeta_direct(s, limit=10**7):
 # ---------------------------------------------------------------------------
 # independent integral representation (cross-check only)
 
-def zeta_integral_rep(s, panels=10_000, nodes=8):
+_INTREP_PANELS = 10_000
+
+
+def zeta_integral_rep(s, nodes=8):
     """zeta via 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du.
 
-    Panel-per-integer Gauss-Legendre quadrature on [1, panels+1]; the
-    dropped tail is bounded by |s(s+1)| / (8 (sigma+1) M^{sigma+1})
+    Panel-per-integer Gauss-Legendre quadrature on [1, M], M =
+    _INTREP_PANELS + 1; the dropped tail is bounded by
+    |s(s+1)| / (8 (sigma+1) M^{sigma+1})
     (integration by parts; the sawtooth antiderivative is <= 1/8).
     Returns (value, tail_bound).
     """
@@ -251,12 +259,12 @@ def zeta_integral_rep(s, panels=10_000, nodes=8):
     if s.real <= 0 or s == 1:
         raise ValueError("representation requires Re s > 0, s != 1")
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    m = np.arange(1, panels + 1, dtype=float)[:, None]
+    m = np.arange(1, _INTREP_PANELS + 1, dtype=float)[:, None]
     u = m + 0.5 * (xg[None, :] + 1.0)
     rho = 0.5 - (u - m)
     integrand = rho * np.exp((-s - 1) * np.log(u))
     integral = 0.5 * np.sum(integrand * wg[None, :])
-    M = panels + 1
+    M = _INTREP_PANELS + 1
     tail_bound = abs(s * (s + 1)) / (8 * (s.real + 1) * M ** (s.real + 1))
     val = 0.5 + 1.0 / (s - 1.0) + s * integral
     return complex(val), float(tail_bound)

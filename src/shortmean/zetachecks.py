@@ -38,12 +38,16 @@ def _panel_values(lows, width, rule):
     return vals.reshape(t.shape), w * (width / 2.0)
 
 
-def second_moment(T: float, panel_width=0.25, tol=1e-4, max_halvings=6) -> float:
+_MOMENT_TOL = 1e-4
+_MAX_HALVINGS = 6
+
+
+def second_moment(T: float, panel_width=0.25) -> float:
     """int_0^T |zeta(1/2+it)|^2 dt by GL quadrature on panels <= 0.25 wide.
 
     Each panel is estimated with 8-node and 16-node rules; panels whose two
-    estimates disagree by more than `tol` relative are halved (up to
-    `max_halvings` rounds) and re-integrated.
+    estimates disagree by more than _MOMENT_TOL relative are halved (up to
+    _MAX_HALVINGS rounds) and re-integrated.
     """
     if T < 10:
         raise ValueError("need T >= 10")
@@ -56,7 +60,7 @@ def second_moment(T: float, panel_width=0.25, tol=1e-4, max_halvings=6) -> float
         v16, w16 = _panel_values(lows, width, _GL16)
         est8 = v8 @ w8
         est16 = v16 @ w16
-        bad = np.abs(est16 - est8) > tol * np.maximum(np.abs(est16), 1e-30)
+        bad = np.abs(est16 - est8) > _MOMENT_TOL * np.maximum(np.abs(est16), 1e-30)
         return est16, bad
 
     total = 0.0
@@ -67,7 +71,7 @@ def second_moment(T: float, panel_width=0.25, tol=1e-4, max_halvings=6) -> float
         if not bad.any():
             break
         rounds += 1
-        if rounds > max_halvings:
+        if rounds > _MAX_HALVINGS:
             # accept the finer estimate on the stubborn panels
             total += float(np.sum(est[bad]))
             break
@@ -149,8 +153,12 @@ def growth_envelope(sigmas=None, ts=None) -> GrowthEnvelopeReport:
     return GrowthEnvelopeReport(c=GROWTH_C, samples=samples, fittedK=fittedK)
 
 
-def arc_bounds_check(delta: float, angles=64):
-    """Samples s = 1/2 + delta e^{i phi}, phi in [-pi/2, pi/2].
+_ARC_ANGLES = 64
+
+
+def arc_bounds_check(delta: float):
+    """Samples s = 1/2 + delta e^{i phi} at _ARC_ANGLES angles phi in
+    [-pi/2, pi/2].
 
     Returns (maxZeta, minZeta2) = (max |zeta(s)|, min |zeta(2s)| * delta).
     The interesting regime has max <= 3.2 and min >= 0.4; callers report
@@ -158,7 +166,7 @@ def arc_bounds_check(delta: float, angles=64):
     """
     if not 0 < delta <= 0.05:
         raise ValueError("need 0 < delta <= 0.05")
-    phi = np.linspace(-math.pi / 2, math.pi / 2, angles)
+    phi = np.linspace(-math.pi / 2, math.pi / 2, _ARC_ANGLES)
     s = 0.5 + delta * np.exp(1j * phi)
     max_zeta = float(np.max(np.abs(zeta_many(s))))
     min_zeta2 = float(np.min(np.abs(zeta_many(2 * s))) * delta)

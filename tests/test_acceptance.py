@@ -24,13 +24,12 @@ from shortmean.constants import (
     ramanujan_A0_product,
 )
 from shortmean.eulerform import (
-    DISCREPANCY_FLAGS,
     euler_form,
     g_coefficient,
     reconstruct_local_series,
     local_series,
 )
-from shortmean.functions import ALL_FNS, MultFnId
+from shortmean.functions import ALL_FNS, MultFnId, spec
 from shortmean.perron import fit_loglog_slope, perron_error_scan
 from shortmean.sieve import interval_sums_all
 from shortmean.zeta import prime_zeta_hp, zeta_hp
@@ -89,8 +88,8 @@ def test_criterion_1_exact_euler_series():
     ok &= g_coefficient(MultFnId.INV_TAU_SQ, 3) == Fraction(-64, 2835)
     # both places where the derivation disagrees with the printed display
     # are flagged, with the derived value stated in the flag text
-    f2_flag = DISCREPANCY_FLAGS.get(MultFnId.INV_TAU_SQUARED, "")
-    f3_flag = DISCREPANCY_FLAGS.get(MultFnId.INV_TWO_OMEGA, "")
+    f2_flag = spec(MultFnId.INV_TAU_SQUARED).flag or ""
+    f3_flag = spec(MultFnId.INV_TWO_OMEGA).flag or ""
     ok &= "19/244" in f2_flag and "-13/288" in f2_flag
     ok &= "sign" in f3_flag and "1/8" in f3_flag
     _verdict(1, "exact Euler-form series and discrepancy flags", ok)

@@ -117,6 +117,16 @@ def test_scan_prefix_matches_direct_truncation():
     assert rows[1][1] == pytest.approx(direct.abs_err, abs=5e-4)
 
 
+def test_scan_rows_at_off_grid_T_match_direct_truncation():
+    # 55.1 is off the quarter-height grid below 64 and 150.5 off the unit
+    # grid above it; the scan ends at 200, so neither is its last panel
+    fid = MultFnId.INV_TWO_BIG_OMEGA
+    rows = perron_error_scan(fid, 100.5, [55.1, 150.5, 200.0])
+    for T, err, _, _ in rows[:2]:
+        direct = perron_truncated(fid, 100.5, T)
+        assert err == pytest.approx(direct.abs_err, abs=1e-9)
+
+
 def test_bound_column_arithmetic():
     rows = perron_error_scan(MultFnId.INV_TWO_OMEGA, 100.5, [128.0, 512.0])
     for T, err, bound, ratio in rows:

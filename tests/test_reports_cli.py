@@ -105,6 +105,9 @@ def test_usage_errors_exit_1():
     ["constants", "--fn", "f4", "--N", "2", "--precision", "double"],
     ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000", "--timings"],
     ["constants", "--fn", "f4", "--N", "2", "--threads", "2"],
+    ["sum", "--fn", "f1", "--x", "0", "--h", "5", "--format", "json"],
+    ["series", "--fn", "f1", "--format", "json"],
+    ["perron", "--fn", "f4", "--x", "100.5", "--T", "200", "--format", "csv"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert cap(argv)[0] == 1

@@ -1,9 +1,7 @@
 """Segmented sieve: exact interval sums, thread invariance, caching."""
 
-import os
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,17 +26,12 @@ def test_primes_up_to_small():
     assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_primes_cache_file_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("MVF_CACHE_DIR", str(tmp_path))
-    import shortmean.sieve as sv
-
-    sv._prime_cache.clear()
+def test_primes_up_to_matches_factorize_and_is_cached():
     first = primes_up_to(10**4)
-    files = list(tmp_path.iterdir())
-    assert files, "expected a cache file"
-    sv._prime_cache.clear()
-    second = primes_up_to(10**4)
-    assert np.array_equal(first, second)
+    want = [n for n in range(2, 10**4 + 1)
+            if factorize(n).factors == ((n, 1),)]
+    assert first.tolist() == want
+    assert primes_up_to(10**4) is first
 
 
 def test_sum_first_five_inv_tau_sq():
