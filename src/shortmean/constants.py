@@ -8,7 +8,13 @@ ln G(s) is evaluated in hybrid form
 where P_tail(z) = P(z) - sum_{p <= P0} p^{-z} is the prime zeta tail.
 Splitting off the small primes makes the n-series tail decay like
 P0^{-n Re s}, so the truncation at order M leaves a bound that is tiny
-and is carried along explicitly as an error budget.
+and is carried along explicitly as an error budget.  That bound depends
+only on Re s, M and the g_n (`_ln_G_tail_bound`).
+
+Each P(n s) is the Mobius-log series sum_k mu(k)/k * log zeta(k n s).
+One ln G evaluation shares its log zeta(m s), m = k n, across all n, so
+a quadrature node computes each of them once: zeta(6s) serves both
+n = 3 and n = 6.
 
 Pi(u) = G(1-u) * w(1-u)^a * zeta(2-2u)^b, and the expansion constants are
 
@@ -34,7 +40,14 @@ from .eulerform import EulerForm, euler_form, inv_tau_euler_form, local_series
 from .functions import MultFnId, spec
 from .powerseries import log_one_minus_x
 from .sieve import primes_up_to
-from .zeta import prime_zeta, prime_zeta_hp, w_hp, zeta_hp
+from .zeta import (
+    _mobius_upto,
+    _prime_zeta_kmax,
+    _prime_zeta_mobius,
+    prime_zeta,
+    w_hp,
+    zeta_hp,
+)
 
 CONSTANTS_DPS = 30
 DEFAULT_P0 = 100
@@ -47,8 +60,8 @@ class PrecisionError(Exception):
 # ---------------------------------------------------------------------------
 # ln G_p(s) = ln F_p(X) + a ln(1-X) + b ln(1-X^2), X = p^{-s}
 
-def _ln_G_p_hp(ef: EulerForm, p, s):
-    X = mp.power(p, -s)
+def _ln_G_p_hp(ef: EulerForm, X):
+    """ln G_p at X = p^{-s}, working precision."""
     return (
         mp.log(spec(ef.fid).factor_hp(X))
         + mpf(ef.a.numerator) / ef.a.denominator * mp.log(1 - X)
@@ -74,39 +87,58 @@ def _g_bound(ef):
     return max(abs(g) for g in ef.g[2:]) if len(ef.g) > 2 else Fraction(1, 6)
 
 
+def _ln_G_order(ef: EulerForm, sigma):
+    """Order M of the n-series at Re s = sigma.
+
+    The series tail decays like P0^{-n sigma}; stop once it is below
+    working precision rather than always using the full stored order.
+    """
+    digits_per_term = sigma * math.log10(DEFAULT_P0)
+    return min(ef.order, max(4, math.ceil((mp.dps + 2) / digits_per_term)))
+
+
+def _ln_G_tail_bound(ef: EulerForm, sigma):
+    """Bound on the n-series terms n > M that ln_G_hp drops at Re s = sigma.
+
+    It depends only on sigma, M and the g_n, not on the value of ln G.
+    """
+    tail_ratio = DEFAULT_P0 ** (-sigma)
+    M = _ln_G_order(ef, sigma)
+    return float(_g_bound(ef)) * tail_ratio ** (M + 1) / (1 - tail_ratio) * 2
+
+
 def ln_G_hp(ef: EulerForm, s):
     """ln G(s) at working precision; returns (value, truncation_bound).
 
     Requires Re s > 1/3 (in practice all callers have Re s >= 3/4).
+    The small primes' p^{-s} serve both the local factors and P_tail(n s).
+    All P(n s), n = 3..M, share one dict of log zeta(m s), m = k n, local
+    to this call, so each log zeta(m s) is computed once per s.
     """
     s = mpc(s)
-    P0 = DEFAULT_P0
     sigma = float(s.real)
     if sigma <= 1 / 3:
         raise ValueError("ln_G requires Re s > 1/3")
     # closing the tail bound needs P0^{-(M+1) sigma} to be small
-    tail_ratio = P0 ** (-sigma)
-    if tail_ratio >= 0.5:
+    if DEFAULT_P0 ** (-sigma) >= 0.5:
         raise ValueError("Re s too small for the truncation bound to close")
-    # the series tail decays like P0^{-n sigma}; stop once it is below
-    # working precision rather than always using the full stored order
-    digits_per_term = sigma * math.log10(P0)
-    M = min(ef.order, max(4, math.ceil((mp.dps + 2) / digits_per_term)))
+    M = _ln_G_order(ef, sigma)
+    small = [mp.power(int(p), -s) for p in primes_up_to(DEFAULT_P0)]
     total = mpf(0)
-    for p in primes_up_to(P0):
-        total = total + _ln_G_p_hp(ef, int(p), s)
-    small = [mp.power(int(p), -s) for p in primes_up_to(P0)]
+    for X in small:
+        total = total + _ln_G_p_hp(ef, X)
     pows = [x * x * x for x in small]
+    # kmax of the Mobius series is largest at the smallest n
+    mu = _mobius_upto(_prime_zeta_kmax(float((3 * s).real)))
+    log_zeta = {}
     for n in range(3, M + 1):
         gn = ef.g_at(n)
         if gn != 0:
-            ptail = prime_zeta_hp(n * s) - mp.fsum(pows)
+            ptail = _prime_zeta_mobius(s, n, mu, log_zeta) - mp.fsum(pows)
             total = total + _q(gn) * ptail
         if n < M:
             pows = [x * y for x, y in zip(pows, small)]
-    gmax = float(_g_bound(ef))
-    tail_bound = gmax * tail_ratio ** (M + 1) / (1 - tail_ratio) * 2
-    return total, tail_bound
+    return total, _ln_G_tail_bound(ef, sigma)
 
 
 def G_product_direct(ef: EulerForm, s, limit=10**6):
@@ -232,7 +264,7 @@ def pi_taylor(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
             * _PI_ANALYTIC_RADIUS ** (-N)
             * (radius / _PI_ANALYTIC_RADIUS) ** Q
         )
-        _, lng_tail = ln_G_hp(ef, mpc(1 - radius))
+        lng_tail = _ln_G_tail_bound(ef, float(1 - radius))
         Pi = [c.real for c in cur]
         K = [gamma_route_K(ef.a, n, Pi[n]) for n in range(N + 1)]
     return PiExpansion(

@@ -5,7 +5,13 @@ Two evaluators share one algorithm:
   * `zeta_many` - numpy-vectorized double precision for critical-line and
     vertical-line scans (t up to ~10^4);
   * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
-    (small |t|, 50+ significant digits).
+    (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
+    completely multiplicative, so mp.power runs only at primes and a
+    composite n takes p^{-s} * (n/p)^{-s}, p its smallest prime factor.
+
+The high-precision prime zeta P(s) is the Mobius-log series
+sum_k mu(k)/k * log zeta(ks); `_prime_zeta_mobius` lets ln G share each
+log zeta(ms) across the P(ns) of one point s.
 
 `w(s) = (s-1) zeta(s)` is evaluated with the (s-1) factor distributed
 through the Euler-Maclaurin terms, so the removable singularity at s = 1
@@ -124,8 +130,44 @@ def w(s):
 # ---------------------------------------------------------------------------
 # high-precision evaluator (mpmath)
 
+_SPF = [0, 1]  # smallest prime factor of each index; grown on demand
+
+
+def _smallest_prime_factors(n):
+    """Table spf with spf[k] = smallest prime factor of k, for k <= n."""
+    if len(_SPF) <= n:
+        size = max(n + 1, 2 * len(_SPF))
+        spf = list(range(size))
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if spf[p] == p:
+                for k in range(p * p, size, p):
+                    if spf[k] == k:
+                        spf[k] = p
+        _SPF[:] = spf
+    return _SPF
+
+
+def _dirichlet_powers(s, N):
+    """[n^{-s} for n = 0..N] (entry 0 unused) at the working precision.
+
+    n^{-s} is completely multiplicative, so mp.power runs only at primes;
+    a composite n takes pow[spf(n)] * pow[n // spf(n)].
+    """
+    spf = _smallest_prime_factors(N)
+    pw = [mpc(0), mpc(1)]
+    for n in range(2, N + 1):
+        p = spf[n]
+        pw.append(mp.power(n, -s) if p == n else pw[p] * pw[n // p])
+    return pw
+
+
 def zeta_hp(s):
-    """Euler-Maclaurin zeta at working precision mp.dps; small |t| only."""
+    """Euler-Maclaurin zeta at working precision mp.dps; small |t| only.
+
+    Both the plain Dirichlet sum (large Re s) and the direct part of
+    Euler-Maclaurin take their terms n^{-s} from `_dirichlet_powers`;
+    N^{-s} is the last of them.
+    """
     s = mpc(s)
     if s == 1:
         raise ValueError("zeta pole at s = 1")
@@ -133,7 +175,7 @@ def zeta_hp(s):
         # plain Dirichlet sum needs only ~10^2.2 terms here
         nmax = max(2, int(10 ** ((mp.dps + 5) / float(s.real))) + 1)
         with mp.extradps(10):
-            total = mp.fsum(mp.power(n, -s) for n in range(1, nmax + 1))
+            total = mp.fsum(_dirichlet_powers(s, nmax)[1:])
         return mpc(total)
     t = abs(s.imag)
     N = max(12, int(0.45 * mp.dps + 1.3 * t) + 4)
@@ -142,8 +184,9 @@ def zeta_hp(s):
     # mp.dps, and asking for more would push past the series' minimum term)
     eps = mpf(10) ** (-(mp.dps + 5))
     with mp.extradps(10):
-        direct = mp.fsum(mp.power(n, -s) for n in range(1, N + 1))
-        n_pow = mp.power(N, -s)
+        pw = _dirichlet_powers(s, N)
+        direct = mp.fsum(pw[1:])
+        n_pow = pw[N]
         total = direct + n_pow * N / (s - 1) - n_pow / 2
         term = mp.bernoulli(2) / 2 * s * n_pow / N
         k = 1
@@ -188,24 +231,45 @@ def _mobius_upto(kmax):
     return mu
 
 
-def prime_zeta_hp(s):
-    """P(s) via the Mobius-log series sum_k mu(k)/k * log zeta(ks)."""
-    s = mpc(s)
-    if s.real <= 1:
-        raise ValueError("prime_zeta requires Re s > 1")
+def _prime_zeta_kmax(sigma):
+    """Terms of the Mobius-log series for P at Re = sigma, mp.dps digits."""
+    return max(4, int((mp.dps + 6) * math.log(10) / (sigma * math.log(2))) + 2)
+
+
+def _prime_zeta_mobius(s, n, mu, log_zeta):
+    """P(n s) = sum_k mu(k)/k * log zeta(k n s), for Re(n s) > 1.
+
+    `log_zeta` maps an integer m to log zeta(m s) and is filled on demand,
+    so callers that pass one dict for several n compute each log zeta(m s)
+    once.  The point is k * (n s), with n s rounded at the caller's
+    precision as in prime_zeta_hp(n s); the first (k, n) to reach m sets
+    it.  `mu` must cover k <= _prime_zeta_kmax(n Re s).
+    """
+    z = n * s
     eps = mpf(10) ** (-(mp.dps + 5))
-    kmax = max(4, int((mp.dps + 6) * math.log(10) / (float(s.real) * math.log(2))) + 2)
-    mu = _mobius_upto(kmax)
+    kmax = _prime_zeta_kmax(float(z.real))
     with mp.extradps(10):
         total = mpf(0)
         for k in range(1, kmax + 1):
             if mu[k] == 0:
                 continue
-            term = mp.log(zeta_hp(k * s)) * mp.mpf(int(mu[k])) / k
+            m = k * n
+            if m not in log_zeta:
+                log_zeta[m] = mp.log(zeta_hp(k * z))
+            term = log_zeta[m] * mp.mpf(int(mu[k])) / k
             total += term
             if k > 1 and abs(term) < eps:
                 break
     return mpc(total)
+
+
+def prime_zeta_hp(s):
+    """P(s) via the Mobius-log series sum_k mu(k)/k * log zeta(ks)."""
+    s = mpc(s)
+    if s.real <= 1:
+        raise ValueError("prime_zeta requires Re s > 1")
+    mu = _mobius_upto(_prime_zeta_kmax(float(s.real)))
+    return _prime_zeta_mobius(s, 1, mu, {})
 
 
 def prime_zeta(s):

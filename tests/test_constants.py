@@ -7,8 +7,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
+    DEFAULT_P0,
+    _ln_G_order,
+    _ln_G_p_hp,
+    _ln_G_tail_bound,
+    _q,
     G_product_direct,
     gamma_route_K,
     ln_G_hp,
@@ -22,6 +28,7 @@ from shortmean.constants import (
 from shortmean.eulerform import euler_form, inv_tau_euler_form
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import primes_up_to
+from shortmean.zeta import prime_zeta_hp
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +46,54 @@ def test_ln_G_matches_direct_product_at_three_points():
             lng, tail = ln_G_hp(ef, mp.mpf(s))
             prod, prod_tail = G_product_direct(ef, s, limit=10**6)
             assert abs(complex(mp.exp(lng)) - prod) <= tail + prod_tail + 1e-11
+
+
+def test_shared_n_series_matches_per_n_prime_zeta():
+    # ln_G_hp shares log zeta(m s) across n; the n-series it adds must equal
+    # sum_n g_n * (prime_zeta_hp(n s) - sum_{p <= P0} p^{-n s}), one P per n
+    primes = [int(p) for p in primes_up_to(DEFAULT_P0)]
+    with mp.workdps(40):
+        for fid in ALL_FNS:
+            ef = euler_form(fid)
+            for q in (0, 5, 24):
+                s = 1 - mp.mpf(1) / 8 * mp.expjpi(mp.mpf(q) / 24)
+                lng, _ = ln_G_hp(ef, s)
+                local = mp.fsum(_ln_G_p_hp(ef, mp.power(p, -s)) for p in primes)
+                per_n = mp.fsum(
+                    _q(ef.g_at(n))
+                    * (prime_zeta_hp(n * s) - mp.fsum(mp.power(p, -n * s) for p in primes))
+                    for n in range(3, _ln_G_order(ef, float(s.real)) + 1)
+                    if ef.g_at(n) != 0
+                )
+                assert abs((lng - local) - per_n) <= 1e-32, (fid, q)
+
+
+def test_pi_taylor_call_counts(monkeypatch):
+    # each node computes every log zeta(m s) once and the tail bound needs
+    # no extra ln G; the per-n route made 4225 zeta_hp and 26 ln_G_hp calls
+    calls = {"zeta_hp": 0, "ln_G_hp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    zeta_hp = counted("zeta_hp", zeta.zeta_hp)
+    monkeypatch.setattr(zeta, "zeta_hp", zeta_hp)
+    monkeypatch.setattr(constants, "zeta_hp", zeta_hp)
+    monkeypatch.setattr(constants, "ln_G_hp", counted("ln_G_hp", constants.ln_G_hp))
+    pi_taylor(euler_form(MultFnId.INV_TAU_SQ), 4)
+    assert calls["zeta_hp"] <= 2200
+    assert calls["ln_G_hp"] == 25
+
+
+def test_tail_bound_matches_ln_G_hp():
+    for fid in ALL_FNS:
+        ef = euler_form(fid)
+        for sigma in (0.875, 1.0, 1.25):
+            _, tail = ln_G_hp(ef, mp.mpf(sigma))
+            assert _ln_G_tail_bound(ef, sigma) == tail, (fid, sigma)
 
 
 def test_ln_G_vanishes_at_large_s():

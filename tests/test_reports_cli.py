@@ -123,6 +123,24 @@ def test_version_matches_pyproject(capsys):
     assert capsys.readouterr().out.strip() == want
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sum_all", ["sum", "--fn", "all", "--x", "1000000", "--h", "20000"]),
+    ("series_all", ["series", "--fn", "all", "--order", "12"]),
+    ("predict_f1", ["predict", "--fn", "f1", "--x", "100000000", "--h", "1000000",
+                    "--N", "2"]),
+    ("constants_f3", ["constants", "--fn", "f3", "--N", "4"]),
+])
+def test_cli_json_matches_golden_bytes(name, argv):
+    # the JSON of these subcommands stays byte-identical unless a change
+    # says why and regenerates tests/golden
+    rc, out = cap(argv)
+    assert rc == 0
+    assert out == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_capacity_error_exit_2():
     rc, _ = cap(["sum", "--fn", "f1", "--x", str(2**63 - 8), "--h", "6"])
     assert rc == 2
