@@ -13,6 +13,13 @@ Everything here runs in double precision: F is evaluated via the
 vectorized Euler-Maclaurin zeta plus a finite-prime form of ln G whose
 truncation error (< 1e-9 on the contour) is far below the Perron
 remainders being measured.
+
+The contour is cut into equal GL16 panels (quarter-height below
+_REFINE_BELOW, unit-height above), so for each node the heights step by
+one panel width.  F_eval takes such a (panels, 16) grid whole: zeta(s),
+zeta(2s) and the prime tails of ln G go through the vertical-line kernel
+`zeta._dirichlet_grid`, which shares its exponentials along each column.
+The one extra panel up to an off-grid T is evaluated point by point.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .constants import ln_G_p_np
 from .eulerform import EulerForm, euler_form
 from .functions import MultFnId
 from .sieve import interval_sum, primes_up_to
-from .zeta import zeta_many
+from .zeta import _dirichlet_grid, _vertical_grid, zeta_many
 
 # Gauss-Legendre 16 on [-1, 1]
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
@@ -43,64 +50,94 @@ _REFINE_BELOW = 64.0
 
 
 def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
-    """ln G at an array of points with Re s >= 1.05, double precision."""
+    """ln G at an array of points with Re s >= 1.05, double precision.
+
+    The local factors of the primes p <= _LNG_P0 are taken point by point.
+    The n-series over the prime tails, sum_n g_n sum_p p^{-ns}, goes
+    through `zeta._dirichlet_grid` when s is a 2-D panel grid on one
+    vertical line (coefficients g_n p^{-n Re s}, frequencies n ln p), and
+    term by term otherwise.
+    """
     s = np.asarray(s, dtype=complex)
     if np.min(s.real) < 1.05:
         raise ValueError("ln_G_line needs Re s >= 1.05")
     out = np.zeros(s.shape, dtype=complex)
     for p in primes_up_to(_LNG_P0):
         out += ln_G_p_np(ef, np.exp(-s * math.log(int(p))))
+    gn, lam = [], []  # g_n and n ln p over the tail primes of each n
     for n, cutoff in _LNG_CUTOFF.items():
-        gn = float(ef.g_at(n))
-        if gn == 0:
-            continue
-        tail_primes = [int(p) for p in primes_up_to(cutoff) if p > _LNG_P0]
-        if not tail_primes:
-            continue
-        lp = np.log(np.array(tail_primes, dtype=float))
-        out += gn * np.exp(-n * s[..., None] * lp).sum(axis=-1)
-    return out
+        g = float(ef.g_at(n))
+        p = primes_up_to(cutoff)
+        lp = np.log(p[p > _LNG_P0].astype(float))
+        if g != 0 and len(lp):
+            gn.append(np.full(len(lp), g))
+            lam.append(n * lp)
+    if not lam:
+        return out
+    gn, lam = np.concatenate(gn), np.concatenate(lam)
+    if s.ndim == 2:
+        sigma, t = _vertical_grid(s)
+        return out + _dirichlet_grid(gn * np.exp(-sigma * lam), lam, t)
+    return out + (gn * np.exp(-s[..., None] * lam)).sum(axis=-1)
 
 
 def F_eval(fid: MultFnId, s) -> np.ndarray:
-    """F(s) = zeta(s)^a zeta(2s)^b exp(ln G(s)), principal branches."""
+    """F(s) = zeta(s)^a zeta(2s)^b exp(ln G(s)), principal branches.
+
+    A 2-D s must be a panel grid on one vertical line (see `zeta_many`);
+    zeta(s), zeta(2s) and ln G then all go through the grid kernel.
+    """
     ef = euler_form(fid)
     s = np.asarray(s, dtype=complex)
     a, b = float(ef.a), float(ef.b)
-    z1 = zeta_many(s.ravel()).reshape(s.shape)
-    z2 = zeta_many(2 * s.ravel()).reshape(s.shape)
+    z1 = zeta_many(s).reshape(s.shape)
+    z2 = zeta_many(2 * s).reshape(s.shape)
     return (
         np.exp(a * np.log(z1) + b * np.log(z2) + ln_G_line(ef, s))
     )
 
 
-def _gl16_partials(fid, x, b, lows, highs):
-    """GL16 values of (1/pi) Re int F x^{b+it}/(b+it) dt over each [low, high]."""
+def _gl16_partials(fid, x, b, lows, highs, grid):
+    """GL16 values of (1/pi) Re int F x^{b+it}/(b+it) dt over each [low, high].
+
+    With `grid` (panels of one width, so the rows of nodes are height
+    shifts) F_eval takes the (panels, 16) nodes as one vertical-line grid,
+    otherwise point by point.
+    """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     mid = (lows + highs) / 2.0
     half = (highs - lows) / 2.0
-    partials = np.empty(len(lows))
-    block = 2048  # keeps the (points x primes) ln G temporaries modest
-    for i in range(0, len(lows), block):
-        t = mid[i:i + block, None] + half[i:i + block, None] * _GLX[None, :]
-        s = b + 1j * t
-        integrand = F_eval(fid, s) * np.exp(s * math.log(x)) / s
-        partials[i:i + block] = (integrand.real @ _GLW) * half[i:i + block]
-    return partials / math.pi
+    t = mid[:, None] + half[:, None] * _GLX[None, :]
+    s = b + 1j * t
+    F = F_eval(fid, s if grid else s.ravel()).reshape(s.shape)
+    integrand = F * np.exp(s * math.log(x)) / s
+    return (integrand.real @ _GLW) * half / math.pi
 
 
-def _panel_partials(fid, x, b, T, panel=1.0):
-    """Per-panel GL16 contributions to (1/pi) Re int_0^T F x^{b+it}/(b+it) dt.
+def _perron_integrals(fid, x, b, Ts):
+    """(1/pi) Re int_0^T F x^{b+it}/(b+it) dt for each T of the sorted Ts.
 
-    Returns (uppers, partials): cumulative-sum-ready panel values with panel
-    boundaries at multiples of `panel` (last panel clipped at T).
+    One sweep of whole GL16 panels, quarter-height below _REFINE_BELOW and
+    unit-height from there to max(Ts), serves every T as a prefix sum; a T
+    off that grid adds one GL16 panel from the last grid edge below it.
     """
-    edges = [0.0]
-    while edges[-1] < T:
-        edges.append(min(edges[-1] + panel, T))
-    highs = np.array(edges[1:])
-    return highs, _gl16_partials(fid, x, b, edges[:-1], highs)
+    edges, parts = [0.0], []
+    for lo, hi, panel in ((0.0, min(Ts[-1], _REFINE_BELOW), 0.25),
+                          (_REFINE_BELOW, Ts[-1], 1.0)):
+        uppers = lo + panel * np.arange(1, int((hi - lo) // panel) + 1)
+        if len(uppers):
+            parts.append(_gl16_partials(fid, x, b, uppers - panel, uppers, True))
+            edges.extend(uppers)
+    edges = np.array(edges)
+    cum = np.concatenate([[0.0], np.cumsum(np.concatenate(parts))])
+    Ts = np.asarray(Ts, dtype=float)
+    k = np.searchsorted(edges, Ts, side="right") - 1
+    integrals = cum[k]
+    off = edges[k] < Ts
+    if off.any():
+        integrals[off] += _gl16_partials(fid, x, b, edges[k][off], Ts[off], False)
+    return integrals
 
 
 @dataclass
@@ -143,13 +180,7 @@ def perron_truncated(fid: MultFnId, x: float, T: float) -> PerronRun:
     if T < 50:
         raise ValueError("need T >= 50")
     b = 1 + 1 / math.log(x)
-    lo_T = min(_REFINE_BELOW, T)
-    _, fine = _panel_partials(fid, x, b, lo_T, panel=0.25)
-    total = float(np.sum(fine))
-    if T > lo_T:
-        _, coarse = _panel_partials(fid, x, b, T, panel=1.0)
-        n_skip = int(round(lo_T))
-        total += float(np.sum(coarse[n_skip:]))
+    total = float(_perron_integrals(fid, x, b, [float(T)])[0])
     exact = float(interval_sum(fid, 0, int(x)).approx)
     return PerronRun(
         fid=fid, x=x, b=b, T=T, integral=total,
@@ -161,9 +192,8 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
     """Rows (T, abs_err, bound, ratio) for increasing T, one contour pass.
 
     The integral for every T in the scan is a prefix sum of the same panel
-    partials, so the whole scan costs one sweep to max(Ts).  A T off that
-    grid (quarter steps below _REFINE_BELOW, unit steps above) adds one
-    GL16 panel from the last grid edge below it up to T.
+    partials (`_perron_integrals`), so the whole scan costs one sweep to
+    max(Ts).
     """
     _check_x(x)
     Ts = sorted(float(T) for T in Ts)
@@ -171,30 +201,9 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
         raise ValueError("need T >= 50")
     b = 1 + 1 / math.log(x)
     exact = float(interval_sum(fid, 0, int(x)).approx)
-    fine_uppers, fine = _panel_partials(fid, x, b, _REFINE_BELOW, panel=0.25)
-    head = float(np.sum(fine))
-    uppers, coarse = _panel_partials(fid, x, b, Ts[-1], panel=1.0)
-    cum = np.cumsum(coarse)
-    n_fine_units = int(_REFINE_BELOW)
-    edges, integrals = [], []  # last grid edge <= T, and the integral to it
-    for T in Ts:
-        if T <= _REFINE_BELOW:
-            k = int(np.searchsorted(fine_uppers, T, side="right"))
-            edges.append(fine_uppers[k - 1])
-            integrals.append(float(np.sum(fine[:k])))
-        else:
-            k = int(np.searchsorted(uppers, T, side="right")) - 1
-            edges.append(uppers[k])
-            integrals.append(head + float(cum[k] - cum[n_fine_units - 1]))
-    off = [i for i, T in enumerate(Ts) if edges[i] < T]
-    if off:
-        tails = _gl16_partials(fid, x, b, [edges[i] for i in off],
-                               [Ts[i] for i in off])
-        for i, tail in zip(off, tails):
-            integrals[i] += float(tail)
     rows = []
-    for T, integral in zip(Ts, integrals):
-        err = abs(integral - exact)
+    for T, integral in zip(Ts, _perron_integrals(fid, x, b, Ts)):
+        err = abs(float(integral) - exact)
         bound = x * math.log(x) / T
         rows.append((T, err, bound, err / bound))
     return rows

@@ -3,7 +3,14 @@
 Two evaluators share one algorithm:
 
   * `zeta_many` - numpy-vectorized double precision for critical-line and
-    vertical-line scans (t up to ~10^4);
+    vertical-line scans (t up to ~10^4).  A 2-D argument is a grid of
+    equal quadrature panels on one vertical line, whose rows are height
+    shifts of one another; its direct sums go through `_dirichlet_grid`
+    (multi-evaluation along vertical lines, after Odlyzko-Schoenhage):
+    in each block of 64 rows a term is the product of its exponential at
+    the block's first row and that of its row's height shift, summed by
+    one matrix product.  Any other argument is flattened and evaluated
+    point by point, grouped by height;
   * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
     (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
     completely multiplicative, so mp.power runs only at primes and a
@@ -42,19 +49,23 @@ def _bernoulli_floats(kmax):
 _B2K = _bernoulli_floats(_EM_K)
 
 
-def _em_terms_double(s, N):
-    """Euler-Maclaurin pieces shared by zeta and w, vectorized over s.
-
-    Returns (direct, n_pow, boundary, corrections) with n_pow = N^{-s} and
-      zeta(s) = direct + N^{1-s}/(s-1) + boundary + corrections.
-    The N^{1-s}/(s-1) = n_pow * N/(s-1) pole piece is left to the caller.
-    """
-    s = np.asarray(s, dtype=complex)
+def _em_direct(s, N):
+    """The direct part sum_{n<=N} n^{-s} of Euler-Maclaurin, vectorized over s."""
     direct = np.zeros_like(s)
     block = 2048
     for a in range(1, N + 1, block):
         n = np.arange(a, min(a + block, N + 1), dtype=float)
         direct += np.exp(-np.multiply.outer(s, np.log(n))).sum(axis=1)
+    return direct
+
+
+def _em_tail(s, N):
+    """Euler-Maclaurin pieces past the direct sum, vectorized over s.
+
+    Returns (n_pow, boundary, corrections) with n_pow = N^{-s} and
+      zeta(s) = direct + N^{1-s}/(s-1) + boundary + corrections.
+    The N^{1-s}/(s-1) = n_pow * N/(s-1) pole piece is left to the caller.
+    """
     n_pow = np.exp(-s * math.log(N))  # N^{-s}
     boundary = -0.5 * n_pow
     term = (_B2K[0] / 2.0) * s * n_pow / N  # k = 1 term
@@ -64,7 +75,7 @@ def _em_terms_double(s, N):
         ratio = _B2K[k] / _B2K[k - 1] / ((2 * k + 1) * (2 * k + 2))
         term = term * (s + (2 * k - 1)) * (s + 2 * k) * (ratio * invN2)
         corr += term
-    return direct, n_pow, boundary, corr
+    return n_pow, boundary, corr
 
 
 def _em_N(tmax):
@@ -75,9 +86,9 @@ def zeta_em(s):
     """zeta at an array of points, one truncation length N sized for max |Im s|."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     N = _em_N(float(np.max(np.abs(s.imag))))
-    direct, n_pow, boundary, corr = _em_terms_double(s, N)
+    n_pow, boundary, corr = _em_tail(s, N)
     pole = n_pow * N / (s - 1.0)  # N^{1-s}/(s-1)
-    return direct + pole + boundary + corr
+    return _em_direct(s, N) + pole + boundary + corr
 
 
 def _by_height(s, evaluate):
@@ -95,15 +106,71 @@ def _by_height(s, evaluate):
     return out
 
 
-def zeta_many(s):
-    """Vectorized zeta for arbitrary batches; groups points by height.
+# ---------------------------------------------------------------------------
+# Dirichlet polynomials on vertical-line grids
 
-    Accuracy ~1e-12 relative for 1/2 <= Re s, |Im s| <= ~2e4.
+_GRID_ROWS = 64  # rows of a grid that share one set of exponentials
+
+
+def _vertical_grid(s):
+    """(sigma, t) of a 2-D grid s = sigma + i t on one vertical line."""
+    sigma = s.real[0, 0]
+    if np.any(s.real != sigma):
+        raise ValueError("grid points must share one real part")
+    return float(sigma), s.imag
+
+
+def _dirichlet_grid(coef, lam, t):
+    """sum_n coef_n e^{-i t lam_n} on a grid t of shape (K, J).
+
+    The rows of t must be height shifts of one another, t[k] = t[0] + d_k
+    (equal-width panels with the same nodes), else ValueError.  Each block
+    of _GRID_ROWS rows takes the exponentials of its first row (J x N) and
+    of its row shifts (_GRID_ROWS x N), and one complex matrix product
+    gives every point; each term is the product of two fresh exponentials,
+    so no long recurrence accumulates rounding.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    t = np.asarray(t, dtype=float)
+    dev = (t - t[:, :1]) - (t[0] - t[0, 0])
+    if np.any(np.abs(dev) > 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(t)))):
+        raise ValueError("grid rows are not height shifts of one another")
+    out = np.empty(t.shape, dtype=complex)
+    for a in range(0, len(t), _GRID_ROWS):
+        rows = t[a : a + _GRID_ROWS]
+        base = coef * np.exp(-1j * np.multiply.outer(rows[0], lam))
+        shift = np.exp(-1j * np.multiply.outer(rows[:, 0] - rows[0, 0], lam))
+        out[a : a + _GRID_ROWS] = shift @ base.T
+    return out
+
+
+def _zeta_grid(s):
+    """zeta on a vertical-line grid, N sized for each block's top height."""
+    sigma, t = _vertical_grid(s)
+    out = np.empty_like(s)
+    for a in range(0, len(s), _GRID_ROWS):
+        rows = s[a : a + _GRID_ROWS]
+        N = _em_N(float(np.max(np.abs(rows.imag))))
+        lam = np.log(np.arange(1, N + 1, dtype=float))
+        direct = _dirichlet_grid(np.exp(-sigma * lam), lam, t[a : a + _GRID_ROWS])
+        n_pow, boundary, corr = _em_tail(rows, N)
+        out[a : a + _GRID_ROWS] = direct + n_pow * N / (rows - 1.0) + boundary + corr
+    return out
+
+
+def zeta_many(s):
+    """Vectorized zeta.  Accuracy ~1e-12 relative for 1/2 <= Re s,
+    |Im s| <= ~2e4.
+
+    A 2-D s is a panel grid on one vertical line whose rows are height
+    shifts of one another (ValueError otherwise) and goes through
+    `_dirichlet_grid`; any other s is flattened and grouped by height.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
-    return _by_height(s, zeta_em)
+    if s.ndim == 2:
+        return _zeta_grid(s)
+    return _by_height(s.ravel(), zeta_em)
 
 
 def zeta(s):
@@ -113,8 +180,8 @@ def zeta(s):
 
 def _w_em(s):
     N = _em_N(float(np.max(np.abs(s.imag))))
-    direct, n_pow, boundary, corr = _em_terms_double(s, N)
-    return (s - 1.0) * (direct + boundary + corr) + n_pow * N
+    n_pow, boundary, corr = _em_tail(s, N)
+    return (s - 1.0) * (_em_direct(s, N) + boundary + corr) + n_pow * N
 
 
 def w_many(s):

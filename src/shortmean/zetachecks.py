@@ -5,7 +5,10 @@ c = 64/205, and the small-arc bounds around s = 1/2.
 
 All scans run in double precision over vectorized zeta evaluations;
 quadrature is Gauss-Legendre on fixed panels with adaptive halving when
-two estimates of a panel disagree by more than 1e-4 relative.
+two estimates of a panel disagree by more than 1e-4 relative.  The
+second moment's first round of equal panels goes to `zeta_many` as a
+vertical-line grid (see `zeta._dirichlet_grid`); the halving rounds and
+the other checks evaluate point by point.
 """
 
 from __future__ import annotations
@@ -25,16 +28,18 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_values(lows, width, rule):
+def _panel_values(lows, width, rule, grid):
     """Critical-line |zeta|^2 at the mapped GL nodes of every panel.
 
     Returns (points shape (npanel, nnodes), weights) with the affine map
-    onto [low, low+width] folded into the weights.
+    onto [low, low+width] folded into the weights.  With `grid` the
+    (npanel, nnodes) points go to zeta_many as one vertical-line grid,
+    otherwise point by point.
     """
     x, w = rule
     t = lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)
-    s = 0.5 + 1j * t.ravel()
-    vals = np.abs(zeta_many(s)) ** 2
+    s = 0.5 + 1j * t
+    vals = np.abs(zeta_many(s if grid else s.ravel())) ** 2
     return vals.reshape(t.shape), w * (width / 2.0)
 
 
@@ -47,7 +52,9 @@ def second_moment(T: float, panel_width=0.25) -> float:
 
     Each panel is estimated with 8-node and 16-node rules; panels whose two
     estimates disagree by more than _MOMENT_TOL relative are halved (up to
-    _MAX_HALVINGS rounds) and re-integrated.
+    _MAX_HALVINGS rounds) and re-integrated.  The first round's uniform
+    panels are evaluated as vertical-line grids, the halving rounds point
+    by point.
     """
     if T < 10:
         raise ValueError("need T >= 10")
@@ -55,9 +62,9 @@ def second_moment(T: float, panel_width=0.25) -> float:
     width = T / npanel
     lows = np.arange(npanel) * width
 
-    def integrate(lows, width):
-        v8, w8 = _panel_values(lows, width, _GL8)
-        v16, w16 = _panel_values(lows, width, _GL16)
+    def integrate(lows, width, grid):
+        v8, w8 = _panel_values(lows, width, _GL8, grid)
+        v16, w16 = _panel_values(lows, width, _GL16, grid)
         est8 = v8 @ w8
         est16 = v16 @ w16
         bad = np.abs(est16 - est8) > _MOMENT_TOL * np.maximum(np.abs(est16), 1e-30)
@@ -66,7 +73,7 @@ def second_moment(T: float, panel_width=0.25) -> float:
     total = 0.0
     rounds = 0
     while True:
-        est, bad = integrate(lows, width)
+        est, bad = integrate(lows, width, rounds == 0)
         total += float(np.sum(est[~bad]))
         if not bad.any():
             break

@@ -19,17 +19,28 @@ from shortmean.eulerform import euler_form
 from shortmean.sieve import interval_sum, sieve_segment
 
 
-def dirichlet_sum(fid, s, limit):
-    facs = sieve_segment(1, limit)
-    n = np.arange(1, limit + 1, dtype=float)
-    coef = np.array([float(f_value(fid, fc)) for fc in facs])
+def dirichlet_sum(fid, s, facs):
+    """sum f(n) n^{-s} over n = 1..len(facs), facs from sieve_segment(1, .).
+
+    f(n) depends only on the exponents of n, so f_value runs once per
+    exponent pattern.
+    """
+    by_exponents = {}
+    coef = np.empty(len(facs))
+    for i, fc in enumerate(facs):
+        key = tuple(r for _, r in fc.factors)
+        if key not in by_exponents:
+            by_exponents[key] = float(f_value(fid, fc))
+        coef[i] = by_exponents[key]
+    n = np.arange(1, len(facs) + 1, dtype=float)
     return complex(np.sum(coef * np.exp(-s * np.log(n))))
 
 
 def test_F_eval_matches_dirichlet_sum_at_two():
     limit = 200000
+    facs = sieve_segment(1, limit)  # shared by both functions
     for fid in (MultFnId.INV_TWO_OMEGA, MultFnId.INV_TWO_BIG_OMEGA):
-        direct = dirichlet_sum(fid, 2.0 + 0j, limit)
+        direct = dirichlet_sum(fid, 2.0 + 0j, facs)
         val = complex(F_eval(fid, np.array([2.0 + 0j]))[0])
         # Dirichlet tail at sigma=2 is below sum_{n>limit} n^{-2} ~ 1/limit
         assert abs(val - direct) < 2.0 / limit
@@ -78,6 +89,21 @@ def test_ln_G_line_truncation_budget():
             for si, got in zip(s, line):
                 ref, _ = ln_G_hp(ef, mp.mpc(si))
                 assert abs(got - complex(ref)) <= 1e-9, (fid, si)
+
+
+def test_ln_G_line_grid_matches_rows():
+    # on a panel grid the prime tails go through the vertical-line kernel;
+    # on its rows, as 1-D arrays, they are summed term by term
+    b = 1 + 1 / math.log(1000.5)
+    x, _ = np.polynomial.legendre.leggauss(16)
+    for lo in (0.0, 3090.0):
+        t = (lo + np.arange(72) + 0.5)[:, None] + 0.5 * x[None, :]
+        s = b + 1j * t
+        for fid in ALL_FNS:
+            ef = euler_form(fid)
+            grid = ln_G_line(ef, s)
+            rows = np.array([ln_G_line(ef, row) for row in s])
+            assert np.max(np.abs(grid - rows)) <= 1e-12, (fid, lo)
 
 
 def test_perron_truncated_basics():

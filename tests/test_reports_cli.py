@@ -141,6 +141,37 @@ def test_cli_json_matches_golden_bytes(name, argv):
     assert out == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def _assert_close(got, want, rel, path=""):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], rel, f"{path}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, rel, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=0), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("perron_f3", ["perron", "--fn", "f3", "--x", "1000.5",
+                   "--T", "100,316,1000,3162"]),
+    ("zeta_moment", ["zeta-moment", "--T", "100,1000,2000"]),
+])
+def test_cli_json_matches_golden_values(name, argv):
+    # double-precision quadrature may move the last bits, so these compare
+    # every number to 1e-10 relative, ten times tighter than the perfbench
+    # reference check; rounding noise of 1e-13 relative on zeta already
+    # moves the T = 3162 abs_err by ~1e-9
+    rc, out = cap(argv)
+    assert rc == 0
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    _assert_close(json.loads(out), want, 1e-10)
+
+
 def test_capacity_error_exit_2():
     rc, _ = cap(["sum", "--fn", "f1", "--x", str(2**63 - 8), "--h", "6"])
     assert rc == 2

@@ -44,6 +44,59 @@ def test_zeta_many_matches_scalar():
         assert abs(vec[i] - zeta(complex(s))) < 1e-12
 
 
+def _panel_grid(lo, count, width, nodes):
+    """GL nodes of `count` panels of `width` from `lo`: rows are shifts."""
+    x, _ = np.polynomial.legendre.leggauss(nodes)
+    lows = lo + width * np.arange(count)
+    return lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)
+
+
+def _grids():
+    """(s, label) for the Perron and second-moment panel grids, in windows
+    of 100 panels (one full and one partial block of rows)."""
+    b = 1 + 1 / math.log(1000.5)
+    for lo in (0.0, 3062.0, 9900.0):  # unit GL16 panels up to t = 10^4
+        t = _panel_grid(lo, 100, 1.0, 16)
+        yield b + 1j * t, f"sigma={b:.3f} t>={lo}"
+        yield 2 * b + 2j * t, f"2sigma 2t>={2 * lo}"
+    width = 2000 / math.ceil(4 * 2000)
+    for nodes in (8, 16):  # second-moment panels up to t = 2000
+        for k in (0, 4000, 7900):
+            t = _panel_grid(k * width, 100, width, nodes)
+            yield 0.5 + 1j * t, f"GL{nodes} k={k}"
+
+
+def test_zeta_grid_matches_pointwise_path():
+    for s, label in _grids():
+        grid = zeta_many(s)
+        assert grid.shape == s.shape
+        flat = zeta_many(s.ravel()).reshape(s.shape)
+        tol = 1e-11 * np.maximum(1.0, np.abs(flat))
+        assert np.all(np.abs(grid - flat) <= tol), label
+
+
+def test_zeta_grid_matches_mpmath():
+    rng = random.Random(3)
+    grids = list(_grids())
+    for s, label in rng.sample(grids, 12):
+        k, j = rng.randrange(s.shape[0]), rng.randrange(s.shape[1])
+        got = zeta_many(s)[k, j]
+        with mp.workdps(25):
+            ref = complex(mp.zeta(mp.mpc(s[k, j].real, s[k, j].imag)))
+        assert abs(got - ref) <= 1e-11 * abs(ref), (label, k, j)
+
+
+def test_zeta_grid_rejects_rows_that_are_not_shifts():
+    t = _panel_grid(10.0, 4, 1.0, 16)
+    t[2] = _panel_grid(12.0, 1, 0.5, 16)[0]  # a half-width panel
+    with pytest.raises(ValueError):
+        zeta_many(0.5 + 1j * t)
+    s = 0.5 + 1j * _panel_grid(10.0, 4, 1.0, 16)
+    s[1] += 0.25  # off the vertical line
+    with pytest.raises(ValueError):
+        zeta_many(s)
+
+
 def test_conjugate_symmetry():
     rng = random.Random(11)
     for _ in range(10):
