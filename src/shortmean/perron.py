@@ -66,14 +66,10 @@ def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
         out += ln_G_p_np(ef, np.exp(-s * math.log(int(p))))
     gn, lam = [], []  # g_n and n ln p over the tail primes of each n
     for n, cutoff in _LNG_CUTOFF.items():
-        g = float(ef.g_at(n))
         p = primes_up_to(cutoff)
         lp = np.log(p[p > _LNG_P0].astype(float))
-        if g != 0 and len(lp):
-            gn.append(np.full(len(lp), g))
-            lam.append(n * lp)
-    if not lam:
-        return out
+        gn.append(np.full(len(lp), float(ef.g_at(n))))
+        lam.append(n * lp)
     gn, lam = np.concatenate(gn), np.concatenate(lam)
     if s.ndim == 2:
         sigma, t = _vertical_grid(s)
