@@ -19,7 +19,7 @@ _REFINE_BELOW, unit-height above), so for each node the heights step by
 one panel width.  F_eval takes such a (panels, 16) grid whole: zeta(s),
 zeta(2s) and the prime tails of ln G go through the vertical-line kernel
 `zeta._dirichlet_grid`, which shares its exponentials along each column.
-The one extra panel up to an off-grid T is evaluated point by point.
+The one extra panel up to an off-grid T is a grid of one row.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
         gn.append(np.full(len(lp), float(ef.g_at(n))))
         lam.append(n * lp)
     gn, lam = np.concatenate(gn), np.concatenate(lam)
+    gn, lam = gn[gn != 0], lam[gn != 0]  # n with g_n = 0 add nothing
     if s.ndim == 2:
         sigma, t = _vertical_grid(s)
         return out + _dirichlet_grid(gn * np.exp(-sigma * lam), lam, t)
@@ -93,12 +94,11 @@ def F_eval(fid: MultFnId, s) -> np.ndarray:
     )
 
 
-def _gl16_partials(fid, x, b, lows, highs, grid):
+def _gl16_partials(fid, x, b, lows, highs):
     """GL16 values of (1/pi) Re int F x^{b+it}/(b+it) dt over each [low, high].
 
-    With `grid` (panels of one width, so the rows of nodes are height
-    shifts) F_eval takes the (panels, 16) nodes as one vertical-line grid,
-    otherwise point by point.
+    The panels must share one width, so that F_eval takes the (panels, 16)
+    nodes as one vertical-line grid whose rows are height shifts.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -106,8 +106,7 @@ def _gl16_partials(fid, x, b, lows, highs, grid):
     half = (highs - lows) / 2.0
     t = mid[:, None] + half[:, None] * _GLX[None, :]
     s = b + 1j * t
-    F = F_eval(fid, s if grid else s.ravel()).reshape(s.shape)
-    integrand = F * np.exp(s * math.log(x)) / s
+    integrand = F_eval(fid, s) * np.exp(s * math.log(x)) / s
     return (integrand.real @ _GLW) * half / math.pi
 
 
@@ -123,16 +122,15 @@ def _perron_integrals(fid, x, b, Ts):
                           (_REFINE_BELOW, Ts[-1], 1.0)):
         uppers = lo + panel * np.arange(1, int((hi - lo) // panel) + 1)
         if len(uppers):
-            parts.append(_gl16_partials(fid, x, b, uppers - panel, uppers, True))
+            parts.append(_gl16_partials(fid, x, b, uppers - panel, uppers))
             edges.extend(uppers)
     edges = np.array(edges)
     cum = np.concatenate([[0.0], np.cumsum(np.concatenate(parts))])
     Ts = np.asarray(Ts, dtype=float)
     k = np.searchsorted(edges, Ts, side="right") - 1
     integrals = cum[k]
-    off = edges[k] < Ts
-    if off.any():
-        integrals[off] += _gl16_partials(fid, x, b, edges[k][off], Ts[off], False)
+    for i in np.flatnonzero(edges[k] < Ts):  # each tail is a one-row grid
+        integrals[i] += _gl16_partials(fid, x, b, [edges[k[i]]], [Ts[i]])[0]
     return integrals
 
 

@@ -5,10 +5,10 @@ c = 64/205, and the small-arc bounds around s = 1/2.
 
 All scans run in double precision over vectorized zeta evaluations;
 quadrature is Gauss-Legendre on fixed panels with adaptive halving when
-two estimates of a panel disagree by more than 1e-4 relative.  The
-second moment's first round of equal panels goes to `zeta_many` as a
-vertical-line grid (see `zeta._dirichlet_grid`); the halving rounds and
-the other checks evaluate point by point.
+two estimates of a panel disagree by more than 1e-4 relative.  Every
+round of the second moment has panels of one width, so its nodes go to
+`zeta_many` as a vertical-line grid (see `zeta._dirichlet_grid`); the
+other checks evaluate point by point.
 """
 
 from __future__ import annotations
@@ -28,19 +28,16 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_values(lows, width, rule, grid):
+def _panel_values(lows, width, rule):
     """Critical-line |zeta|^2 at the mapped GL nodes of every panel.
 
     Returns (points shape (npanel, nnodes), weights) with the affine map
-    onto [low, low+width] folded into the weights.  With `grid` the
-    (npanel, nnodes) points go to zeta_many as one vertical-line grid,
-    otherwise point by point.
+    onto [low, low+width] folded into the weights.  The panels share one
+    width, so the points go to zeta_many as one vertical-line grid.
     """
     x, w = rule
     t = lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)
-    s = 0.5 + 1j * t
-    vals = np.abs(zeta_many(s if grid else s.ravel())) ** 2
-    return vals.reshape(t.shape), w * (width / 2.0)
+    return np.abs(zeta_many(0.5 + 1j * t)) ** 2, w * (width / 2.0)
 
 
 _MOMENT_TOL = 1e-4
@@ -52,9 +49,7 @@ def second_moment(T: float, panel_width=0.25) -> float:
 
     Each panel is estimated with 8-node and 16-node rules; panels whose two
     estimates disagree by more than _MOMENT_TOL relative are halved (up to
-    _MAX_HALVINGS rounds) and re-integrated.  The first round's uniform
-    panels are evaluated as vertical-line grids, the halving rounds point
-    by point.
+    _MAX_HALVINGS rounds) and re-integrated.
     """
     if T < 10:
         raise ValueError("need T >= 10")
@@ -62,9 +57,9 @@ def second_moment(T: float, panel_width=0.25) -> float:
     width = T / npanel
     lows = np.arange(npanel) * width
 
-    def integrate(lows, width, grid):
-        v8, w8 = _panel_values(lows, width, _GL8, grid)
-        v16, w16 = _panel_values(lows, width, _GL16, grid)
+    def integrate(lows, width):
+        v8, w8 = _panel_values(lows, width, _GL8)
+        v16, w16 = _panel_values(lows, width, _GL16)
         est8 = v8 @ w8
         est16 = v16 @ w16
         bad = np.abs(est16 - est8) > _MOMENT_TOL * np.maximum(np.abs(est16), 1e-30)
@@ -73,7 +68,7 @@ def second_moment(T: float, panel_width=0.25) -> float:
     total = 0.0
     rounds = 0
     while True:
-        est, bad = integrate(lows, width, rounds == 0)
+        est, bad = integrate(lows, width)
         total += float(np.sum(est[~bad]))
         if not bad.any():
             break

@@ -43,6 +43,25 @@ def test_second_moment_independent_panel_width():
     assert a == pytest.approx(b, rel=1e-8)
 
 
+def test_second_moment_halving_rounds_on_grid(monkeypatch):
+    # 4-wide panels fail the 8/16-node agreement, so halved panels are
+    # re-integrated; every round reaches zeta_many as one 2-D grid
+    import shortmean.zetachecks as zc
+
+    shapes = []
+    zeta_many = zc.zeta_many
+
+    def spy(s):
+        shapes.append(s.shape)
+        return zeta_many(s)
+
+    monkeypatch.setattr(zc, "zeta_many", spy)
+    halved = second_moment(50.0, panel_width=4.0)
+    assert len(shapes) > 2 and all(len(sh) == 2 for sh in shapes)
+    monkeypatch.undo()
+    assert halved == pytest.approx(second_moment(50.0), rel=1e-8)
+
+
 def test_second_moment_domain():
     with pytest.raises(ValueError):
         second_moment(5.0)
