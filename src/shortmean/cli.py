@@ -3,7 +3,7 @@
 Subcommands: sum, constants, predict, compare, perron, zeta-moment,
 series, sweep.  Output is JSON (stdout, or --out PATH); the perron scan,
 zeta-moment and sweep can also emit CSV or SVG with --format.  Exit
-codes: 0 success, 1 usage error, 2 capacity/precision error.
+codes: 0 success, 1 usage error, 2 capacity or I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .asymptotics import (
     h_threshold,
     predict,
 )
-from .constants import PrecisionError, constants_report, ramanujan_A0
+from .constants import constants_report, ramanujan_A0
 from .eulerform import euler_form
 from .functions import ALL_FNS, MultFnId
 from .perron import fit_loglog_slope, perron_error_scan, perron_truncated
@@ -347,7 +347,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CapacityError, PrecisionError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

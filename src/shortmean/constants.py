@@ -53,10 +53,6 @@ CONSTANTS_DPS = 30
 DEFAULT_P0 = 100
 
 
-class PrecisionError(Exception):
-    """Quadrature failed to settle within the node cap."""
-
-
 # ---------------------------------------------------------------------------
 # ln G_p(s) = ln F_p(X) + a ln(1-X) + b ln(1-X^2), X = p^{-s}
 
@@ -321,12 +317,11 @@ def ramanujan_A0_product(limit=10**6):
         pz = prime_zeta(float(k)).real
         ptail = pz - float(np.sum(p ** (-float(k))))
         total += float(d[k]) * ptail
-    # next omitted coefficient bounds the remainder
-    nxt = _eq1_tail_coeffs(tail_order + 1)[tail_order + 1]
-    ptail_next = prime_zeta(float(tail_order + 1)).real - float(
-        np.sum(p ** (-float(tail_order + 1)))
-    )
-    partial_bound = 2 * abs(float(nxt)) * abs(ptail_next) + 1e-12
+    # next omitted coefficient bounds the remainder, with
+    # sum_{p > limit} p^{-m} <= int_limit^oo u^{-m} du = limit^{1-m}/(m-1)
+    m = tail_order + 1
+    nxt = _eq1_tail_coeffs(m)[m]
+    partial_bound = 2 * abs(float(nxt)) * float(limit) ** (1 - m) / (m - 1) + 1e-12
     return math.exp(total) / math.sqrt(math.pi), partial_bound
 
 

@@ -15,11 +15,12 @@ truncation error (< 1e-9 on the contour) is far below the Perron
 remainders being measured.
 
 The contour is cut into equal GL16 panels (quarter-height below
-_REFINE_BELOW, unit-height above), so for each node the heights step by
-one panel width.  F_eval takes such a (panels, 16) grid whole: zeta(s),
-zeta(2s) and the prime tails of ln G go through the vertical-line kernel
-`zeta._dirichlet_grid`, which shares its exponentials along each column.
-The one extra panel up to an off-grid T is a grid of one row.
+_REFINE_BELOW, unit-height above), so the rows of the (panels, 16) node
+grid are shifts of one another by whole panel widths.  F_eval takes such
+a grid whole: zeta(s), zeta(2s) and the prime tails of ln G go through
+the shifted-row kernel `zeta._dirichlet_grid`, which shares its
+exponentials along each column.  The one extra panel up to an off-grid T
+is a grid of one row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .constants import ln_G_p_np
 from .eulerform import EulerForm, euler_form
 from .functions import MultFnId
 from .sieve import interval_sum, primes_up_to
-from .zeta import _dirichlet_grid, _vertical_grid, zeta_many
+from .zeta import _as_grid, _dirichlet_grid, zeta_many
 
 # Gauss-Legendre 16 on [-1, 1]
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
@@ -53,10 +54,10 @@ def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
     """ln G at an array of points with Re s >= 1.05, double precision.
 
     The local factors of the primes p <= _LNG_P0 are taken point by point.
-    The n-series over the prime tails, sum_n g_n sum_p p^{-ns}, goes
-    through `zeta._dirichlet_grid` when s is a 2-D panel grid on one
-    vertical line (coefficients g_n p^{-n Re s}, frequencies n ln p), and
-    term by term otherwise.
+    The n-series over the prime tails, sum_n g_n sum_p p^{-ns}, is one
+    `zeta._dirichlet_grid` call (coefficients g_n, frequencies n ln p), so
+    the rows of a 2-D s must be shifts of one another; any other s is one
+    column.
     """
     s = np.asarray(s, dtype=complex)
     if np.min(s.real) < 1.05:
@@ -72,17 +73,14 @@ def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
         lam.append(n * lp)
     gn, lam = np.concatenate(gn), np.concatenate(lam)
     gn, lam = gn[gn != 0], lam[gn != 0]  # n with g_n = 0 add nothing
-    if s.ndim == 2:
-        sigma, t = _vertical_grid(s)
-        return out + _dirichlet_grid(gn * np.exp(-sigma * lam), lam, t)
-    return out + (gn * np.exp(-s[..., None] * lam)).sum(axis=-1)
+    return out + _dirichlet_grid(gn, lam, _as_grid(s)).reshape(s.shape)
 
 
 def F_eval(fid: MultFnId, s) -> np.ndarray:
     """F(s) = zeta(s)^a zeta(2s)^b exp(ln G(s)), principal branches.
 
-    A 2-D s must be a panel grid on one vertical line (see `zeta_many`);
-    zeta(s), zeta(2s) and ln G then all go through the grid kernel.
+    The rows of a 2-D s must be shifts of one another (see `zeta_many`);
+    zeta(s), zeta(2s) and ln G all go through the shifted-row kernel.
     """
     ef = euler_form(fid)
     s = np.asarray(s, dtype=complex)
@@ -98,7 +96,7 @@ def _gl16_partials(fid, x, b, lows, highs):
     """GL16 values of (1/pi) Re int F x^{b+it}/(b+it) dt over each [low, high].
 
     The panels must share one width, so that F_eval takes the (panels, 16)
-    nodes as one vertical-line grid whose rows are height shifts.
+    nodes as one grid whose rows are height shifts.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)

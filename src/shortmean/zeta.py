@@ -3,14 +3,14 @@
 Two evaluators share one algorithm:
 
   * `zeta_many` - numpy-vectorized double precision for critical-line and
-    vertical-line scans (t up to ~10^4).  A 2-D argument is a grid of
-    equal quadrature panels on one vertical line, whose rows are height
-    shifts of one another; its direct sums go through `_dirichlet_grid`
-    (multi-evaluation along vertical lines, after Odlyzko-Schoenhage):
+    vertical-line scans (t up to ~10^4).  Its argument is a grid whose rows
+    are complex shifts of one another, s[k] = s[0] + d_k: equal quadrature
+    panels with the same nodes, or any 1-D array taken as one column.
+    Every direct sum, here and in `perron.ln_G_line`, goes through one
+    kernel, `_dirichlet_grid` (multi-evaluation after Odlyzko-Schoenhage):
     in each block of 64 rows a term is the product of its exponential at
-    the block's first row and that of its row's height shift, summed by
-    one matrix product.  Any other argument is flattened and evaluated
-    point by point, grouped by height;
+    the block's first row and that of its row's shift, summed by one
+    matrix product.  `zeta_em` evaluates one such block;
   * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
     (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
     completely multiplicative, so mp.power runs only at primes and a
@@ -19,10 +19,6 @@ Two evaluators share one algorithm:
 The high-precision prime zeta P(s) is the Mobius-log series
 sum_k mu(k)/k * log zeta(ks); `_prime_zeta_mobius` lets ln G share each
 log zeta(ms) across the P(ns) of one point s.
-
-`w(s) = (s-1) zeta(s)` is evaluated with the (s-1) factor distributed
-through the Euler-Maclaurin terms, so the removable singularity at s = 1
-costs nothing: w(1) = 1 without any limit-taking.
 
 `zeta_integral_rep` implements the independent representation
 zeta(s) = 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du
@@ -49,16 +45,6 @@ def _bernoulli_floats(kmax):
 _B2K = _bernoulli_floats(_EM_K)
 
 
-def _em_direct(s, N):
-    """The direct part sum_{n<=N} n^{-s} of Euler-Maclaurin, vectorized over s."""
-    direct = np.zeros_like(s)
-    block = 2048
-    for a in range(1, N + 1, block):
-        n = np.arange(a, min(a + block, N + 1), dtype=float)
-        direct += np.exp(-np.multiply.outer(s, np.log(n))).sum(axis=1)
-    return direct
-
-
 def _em_tail(s, N):
     """Euler-Maclaurin pieces past the direct sum, vectorized over s.
 
@@ -82,116 +68,74 @@ def _em_N(tmax):
     return max(24, int(0.25 * tmax) + 8)
 
 
-def zeta_em(s):
-    """zeta at an array of points, one truncation length N sized for max |Im s|."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    N = _em_N(float(np.max(np.abs(s.imag))))
-    n_pow, boundary, corr = _em_tail(s, N)
-    pole = n_pow * N / (s - 1.0)  # N^{1-s}/(s-1)
-    return _em_direct(s, N) + pole + boundary + corr
-
-
-def _by_height(s, evaluate):
-    """Apply `evaluate` to groups of 1024 points of similar |Im s|.
-
-    Each group shares one truncation length, so sorting by height keeps
-    low points from paying for the N of high ones.
-    """
-    out = np.empty_like(s)
-    order = np.argsort(np.abs(s.imag), kind="stable")
-    group = 1024
-    for a in range(0, len(s), group):
-        idx = order[a : a + group]
-        out[idx] = evaluate(s[idx])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Dirichlet polynomials on vertical-line grids
+# Dirichlet polynomials on grids of shifted rows
 
 _GRID_ROWS = 64  # rows of a grid that share one set of exponentials
 
 
-def _vertical_grid(s):
-    """(sigma, t) of a 2-D grid s = sigma + i t on one vertical line."""
-    sigma = s.real[0, 0]
-    if np.any(s.real != sigma):
-        raise ValueError("grid points must share one real part")
-    return float(sigma), s.imag
+def _as_grid(s):
+    """s as a 2-D grid of len(s) rows; a 1-D s is one column."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    return s.reshape(len(s), math.prod(s.shape[1:]))
 
 
-def _dirichlet_grid(coef, lam, t):
-    """sum_n coef_n e^{-i t lam_n} on a grid t of shape (K, J).
+def _dirichlet_grid(coef, lam, s):
+    """sum_n coef_n e^{-s lam_n} on a complex grid s of shape (K, J).
 
-    The rows of t must be height shifts of one another, t[k] = t[0] + d_k
-    (equal-width panels with the same nodes), else ValueError.  Each block
-    of _GRID_ROWS rows takes the exponentials of its first row (J x N) and
-    of its row shifts (_GRID_ROWS x N), and one complex matrix product
-    gives every point; each term is the product of two fresh exponentials,
-    so no long recurrence accumulates rounding.
+    The rows of s must be complex shifts of one another, s[k] = s[0] + d_k
+    (equal-width panels with the same nodes, or a single column), else
+    ValueError.  Each block of _GRID_ROWS rows takes coef e^{-s lam} at its
+    first row (J x N) and e^{-d lam} at its row shifts (_GRID_ROWS x N),
+    and one complex matrix product gives every point; each term is the
+    product of two fresh exponentials, so no long recurrence accumulates
+    rounding.  Those two factors have moduli e^{-Re s[0] lam} and
+    e^{-Re d lam}, so real parts within a block that differ by about
+    700 / max(lam) or more would under- and overflow.
     """
-    t = np.asarray(t, dtype=float)
-    dev = (t - t[:, :1]) - (t[0] - t[0, 0])
-    if np.any(np.abs(dev) > 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(t)))):
-        raise ValueError("grid rows are not height shifts of one another")
-    out = np.empty(t.shape, dtype=complex)
-    for a in range(0, len(t), _GRID_ROWS):
-        rows = t[a : a + _GRID_ROWS]
-        base = coef * np.exp(-1j * np.multiply.outer(rows[0], lam))
-        shift = np.exp(-1j * np.multiply.outer(rows[:, 0] - rows[0, 0], lam))
+    s = np.asarray(s, dtype=complex)
+    dev = (s - s[:, :1]) - (s[0] - s[0, 0])
+    if np.any(np.abs(dev) > 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))):
+        raise ValueError("grid rows are not shifts of one another")
+    out = np.empty(s.shape, dtype=complex)
+    for a in range(0, len(s), _GRID_ROWS):
+        rows = s[a : a + _GRID_ROWS]
+        base = coef * np.exp(-np.multiply.outer(rows[0], lam))
+        shift = np.exp(-np.multiply.outer(rows[:, 0] - rows[0, 0], lam))
         out[a : a + _GRID_ROWS] = shift @ base.T
     return out
 
 
-def _zeta_grid(s):
-    """zeta on a vertical-line grid, N sized for each block's top height."""
-    sigma, t = _vertical_grid(s)
-    out = np.empty_like(s)
-    for a in range(0, len(s), _GRID_ROWS):
-        rows = s[a : a + _GRID_ROWS]
-        N = _em_N(float(np.max(np.abs(rows.imag))))
-        lam = np.log(np.arange(1, N + 1, dtype=float))
-        direct = _dirichlet_grid(np.exp(-sigma * lam), lam, t[a : a + _GRID_ROWS])
-        n_pow, boundary, corr = _em_tail(rows, N)
-        out[a : a + _GRID_ROWS] = direct + n_pow * N / (rows - 1.0) + boundary + corr
-    return out
+def zeta_em(s):
+    """zeta on a grid s of shifted rows (see `_dirichlet_grid`), with one
+    truncation length N sized for its largest |Im s|."""
+    N = _em_N(float(np.max(np.abs(s.imag))))
+    lam = np.log(np.arange(1, N + 1, dtype=float))
+    n_pow, boundary, corr = _em_tail(s, N)
+    return _dirichlet_grid(1.0, lam, s) + n_pow * N / (s - 1.0) + boundary + corr
 
 
 def zeta_many(s):
-    """Vectorized zeta.  Accuracy ~1e-12 relative for 1/2 <= Re s,
-    |Im s| <= ~2e4.
+    """Vectorized zeta, shaped like s (at least 1-D).  Accuracy ~1e-12
+    relative for 1/2 <= Re s, |Im s| <= ~2e4.
 
-    A 2-D s is a panel grid on one vertical line whose rows are height
-    shifts of one another (ValueError otherwise) and goes through
-    `_dirichlet_grid`; any other s is flattened and grouped by height.
+    The rows of a 2-D s must be shifts of one another (ValueError
+    otherwise); a 1-D s is one column.  Each block of _GRID_ROWS rows is one
+    `zeta_em` call, so its N is sized for that block's top height.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
-    if s.ndim == 2:
-        return _zeta_grid(s)
-    return _by_height(s.ravel(), zeta_em)
+    grid = _as_grid(s)
+    out = np.empty_like(grid)
+    for a in range(0, len(grid), _GRID_ROWS):
+        out[a : a + _GRID_ROWS] = zeta_em(grid[a : a + _GRID_ROWS])
+    return out.reshape(s.shape)
 
 
 def zeta(s):
     """Single-point double-precision zeta (Re s > 0, s != 1)."""
     return complex(zeta_many(np.array([s]))[0])
-
-
-def _w_em(s):
-    N = _em_N(float(np.max(np.abs(s.imag))))
-    n_pow, boundary, corr = _em_tail(s, N)
-    return (s - 1.0) * (_em_direct(s, N) + boundary + corr) + n_pow * N
-
-
-def w_many(s):
-    """(s-1)*zeta(s), entire; removable singularity handled exactly."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    return _by_height(s, _w_em)
-
-
-def w(s):
-    return complex(w_many(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ short-interval machinery: the critical-line second moment, the incomplete
 Gamma tail bound, the subconvex growth envelope with exponent constant
 c = 64/205, and the small-arc bounds around s = 1/2.
 
-All scans run in double precision over vectorized zeta evaluations;
+All scans run in double precision through `zeta_many`, whose direct
+sums all go through the shifted-row kernel `zeta._dirichlet_grid`;
 quadrature is Gauss-Legendre on fixed panels with adaptive halving when
 two estimates of a panel disagree by more than 1e-4 relative.  Every
-round of the second moment has panels of one width, so its nodes go to
-`zeta_many` as a vertical-line grid (see `zeta._dirichlet_grid`); the
-other checks evaluate point by point.
+round of the second moment has panels of one width, so its nodes form
+one grid whose rows are height shifts; the growth and arc samples go in
+as one column.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _panel_values(lows, width, rule):
 
     Returns (points shape (npanel, nnodes), weights) with the affine map
     onto [low, low+width] folded into the weights.  The panels share one
-    width, so the points go to zeta_many as one vertical-line grid.
+    width, so the points go to zeta_many as one grid of shifted rows.
     """
     x, w = rule
     t = lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)

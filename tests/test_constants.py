@@ -201,6 +201,20 @@ def test_ramanujan_A0_truncation_consistency():
     assert abs(v_small - v_big) <= b_small + b_big
 
 
+def test_ramanujan_A0_tail_bound_is_rigorous_and_tight():
+    # the omitted order-9 term is d_9 * sum_{p > limit} p^{-9}; the bound
+    # replaces that prime sum by limit^{-8}/8, on top of a fixed 1e-12
+    limit = 10**3
+    _, bound = ramanujan_A0_product(limit=limit)
+    m = constants._A0_TAIL_ORDER + 1
+    d = 2 * abs(float(constants._eq1_tail_coeffs(m)[m]))
+    with mp.workdps(40):
+        head = mp.fsum(mp.mpf(int(p)) ** -m for p in primes_up_to(limit))
+        lower = d * float(mp.primezeta(m) - head)
+    upper = d * float(limit) ** (1 - m) / (m - 1)
+    assert lower < bound - 1e-12 <= upper + math.ulp(1e-12)
+
+
 def test_ramanujan_local_factors_below_one():
     import numpy as np
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from shortmean.constants import ln_G_hp
+from shortmean.constants import ln_G_hp, ln_G_p_np
 from shortmean.functions import ALL_FNS, MultFnId, f_value
 from shortmean.perron import (
+    _LNG_CUTOFF,
+    _LNG_P0,
     F_eval,
     fit_loglog_slope,
     ln_G_line,
@@ -16,7 +18,7 @@ from shortmean.perron import (
     perron_truncated,
 )
 from shortmean.eulerform import euler_form
-from shortmean.sieve import interval_sum, sieve_segment
+from shortmean.sieve import interval_sum, primes_up_to, sieve_segment
 
 
 def dirichlet_sum(fid, s, facs):
@@ -91,9 +93,19 @@ def test_ln_G_line_truncation_budget():
                 assert abs(got - complex(ref)) <= 1e-9, (fid, si)
 
 
+def ln_G_terms(ef, s):
+    """ln G as `ln_G_line` forms it, its prime tails summed term by term."""
+    out = sum(ln_G_p_np(ef, np.exp(-s * math.log(p))) for p in primes_up_to(_LNG_P0))
+    for n, cutoff in _LNG_CUTOFF.items():
+        p = primes_up_to(cutoff)
+        lam = n * np.log(p[p > _LNG_P0].astype(float))
+        out = out + float(ef.g_at(n)) * np.exp(-np.multiply.outer(s, lam)).sum(axis=-1)
+    return out
+
+
 def test_ln_G_line_grid_matches_rows():
-    # on a panel grid the prime tails go through the vertical-line kernel;
-    # on its rows, as 1-D arrays, they are summed term by term
+    # on a panel grid the prime tails go through the shifted-row kernel;
+    # the reference sums them term by term, row by row
     b = 1 + 1 / math.log(1000.5)
     x, _ = np.polynomial.legendre.leggauss(16)
     for lo in (0.0, 3090.0):
@@ -102,7 +114,7 @@ def test_ln_G_line_grid_matches_rows():
         for fid in ALL_FNS:
             ef = euler_form(fid)
             grid = ln_G_line(ef, s)
-            rows = np.array([ln_G_line(ef, row) for row in s])
+            rows = np.array([ln_G_terms(ef, row) for row in s])
             assert np.max(np.abs(grid - rows)) <= 1e-12, (fid, lo)
 
 
