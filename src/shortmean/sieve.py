@@ -6,9 +6,11 @@ segment it tracks the four integer statistics
 
     tau(n^2), tau(n), omega(n), Omega(n)
 
-by dividing out base primes level by level, then aggregates counts of the
-(small, repetitive) statistic values.  The exact rational sum is a short
-sum of count/value terms, so it stays cheap even over 10^8 integers.
+with two strided updates per base prime, plus strided updates on the
+multiples of p^2 for the prime powers (see _segment_stats), then
+aggregates counts of the (small, repetitive) statistic values.  The exact
+rational sum is a short sum of count/value terms, so it stays cheap even
+over 10^8 integers.
 """
 
 from __future__ import annotations
@@ -59,48 +61,67 @@ def primes_up_to(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-segment statistics
 
-def _segment_stats(lo, hi, base_primes):
-    """Arrays (tau_n2, tau, omega, big_omega) for n = lo..hi inclusive."""
-    width = hi - lo + 1
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    tau_n2 = np.ones(width, dtype=np.int64)
-    tau = np.ones(width, dtype=np.int64)
-    omega = np.zeros(width, dtype=np.int16)
-    big_omega = np.zeros(width, dtype=np.int16)
+# 3^k for k <= omega(n); omega(n) <= 15 for every n < 2^63
+_POW3 = 3 ** np.arange(16, dtype=np.int64)
 
-    for p in base_primes:
-        p = int(p)
-        if p * p > hi:
-            break
+
+def _segment_stats(lo, hi, base_primes):
+    """Arrays (tau_n2, tau, omega, big_omega) for n = lo..hi inclusive.
+
+    int64 tau(n^2) and tau(n), int16 omega(n) and Omega(n).  Only the
+    base primes p <= sqrt(hi) are used.  ``found`` collects the part of n
+    made of them, so n has one more prime factor, above sqrt(hi),
+    exactly when found != n.
+
+    Each base prime with a multiple here makes two strided updates,
+    omega[s::p] += 1 and found[s::p] *= p (a single hit for p at or
+    above the width).  Its levels p^e, e >= 2, touch only the multiples
+    of p^2: they multiply found by p, count the primes with e >= 2
+    (``sq``) and Omega - omega (``extra``), and build the small-int
+    corrections prod(e+1) and prod(2e+1) over those primes.  With
+    k = omega - sq primes dividing n exactly once, tau = 2^k * prod(e+1)
+    and tau(n^2) = 3^k * prod(2e+1).
+    """
+    width = hi - lo + 1
+    top = np.searchsorted(base_primes, isqrt(hi), side="right")
+    found = np.ones(width, dtype=np.int64)
+    omega = np.zeros(width, dtype=np.int16)
+    sq = np.zeros(width, dtype=np.int16)
+    extra = np.zeros(width, dtype=np.int16)
+    c_tau = np.ones(width, dtype=np.int32)
+    c_tau2 = np.ones(width, dtype=np.int32)
+
+    for p in base_primes[:top].tolist():
         start = (-lo) % p
-        if start >= width:
+        if start >= width:  # only a prime above the width can miss
             continue
-        idx = np.arange(start, width, p)
-        omega[idx] += 1
-        big_omega[idx] += 1
-        tau_n2[idx] *= 3
-        tau[idx] *= 2
-        residual[idx] //= p
-        q = p * p
-        e = 2
+        omega[start::p] += 1
+        found[start::p] *= p
+        q, e = p * p, 2
         while q <= hi:
-            start_q = (-lo) % q
-            if start_q >= width:
+            start = (-lo) % q
+            if start >= width:
                 break
-            idx = np.arange(start_q, width, q)
-            big_omega[idx] += 1
-            # replace the level-(e-1) factor with the level-e one
-            tau_n2[idx] = tau_n2[idx] // (2 * e - 1) * (2 * e + 1)
-            tau[idx] = tau[idx] // e * (e + 1)
-            residual[idx] //= p
+            found[start::q] *= p
+            extra[start::q] += 1
+            if e == 2:
+                sq[start::q] += 1
+                c_tau[start::q] *= 3
+                c_tau2[start::q] *= 5
+            else:  # swap the level-(e-1) factors for the level-e ones
+                c_tau[start::q] = c_tau[start::q] // e * (e + 1)
+                c_tau2[start::q] = c_tau2[start::q] // (2 * e - 1) * (2 * e + 1)
             q *= p
             e += 1
 
-    left = residual > 1  # exactly one prime factor > sqrt(hi) remains
-    omega[left] += 1
-    big_omega[left] += 1
-    tau_n2[left] *= 3
-    tau[left] *= 2
+    omega += found != np.arange(lo, hi + 1, dtype=np.int64)
+    del found
+    big_omega = omega + extra
+    k = omega - sq
+    tau = np.left_shift(1, k, dtype=np.int64)
+    tau *= c_tau
+    tau_n2 = _POW3[k]
+    tau_n2 *= c_tau2
     return tau_n2, tau, omega, big_omega
 
 
@@ -166,8 +187,6 @@ def interval_counts(x: int, h: int, threads: int = 1):
     if x < 0 or h < 1:
         raise ValueError("need x >= 0 and h >= 1")
     lo, hi = x + 1, x + h
-    if hi > MAX_N:
-        raise CapacityError("interval endpoint beyond 2^63 - 1")
     if hi > SIEVE_MAX_POINT:
         raise CapacityError(
             "interval endpoint beyond the sieve budget "

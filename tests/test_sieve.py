@@ -1,15 +1,20 @@
 """Segmented sieve: exact interval sums, thread invariance, caching."""
 
 from fractions import Fraction
+from math import isqrt, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shortmean.functions import ALL_FNS, MultFnId, f_value, factorize
 from shortmean.sieve import (
     CapacityError,
     MAX_N,
+    SEGMENT_WIDTH,
+    SIEVE_MAX_POINT,
+    _segment_stats,
     interval_counts,
     interval_sum,
     interval_sums_all,
@@ -107,3 +112,45 @@ def test_counts_sum_to_interval_length():
 def test_random_windows_match_brute_force(x, h):
     fid = MultFnId.INV_TWO_BIG_OMEGA
     assert interval_sum(fid, x, h).exact == brute_sum(fid, x, h)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 1),              # n = 1
+    (1, 3000),
+    (281, 290),          # 286 = 2*11*13: two primes >= the width
+    (4910, 4917),        # 4913 = 17^3
+    (10195, 10210),      # 10201 = 101^2, 101 >= the width
+    (20445, 20454),      # 20449 = 11^2 * 13^2
+    (999_999_937, 1_000_000_000),
+])
+def test_segment_stats_match_factorize(lo, hi):
+    # windows from (281, 290) on are narrower than their largest base
+    # prime, which then has at most one multiple in the window
+    tau_n2, tau, omega, big_omega = _segment_stats(
+        lo, hi, primes_up_to(isqrt(hi)))
+    assert [a.dtype for a in (tau_n2, tau, omega, big_omega)] == [
+        np.int64, np.int64, np.int16, np.int16]
+    for i, n in enumerate(range(lo, hi + 1)):
+        fac = factorize(n)
+        exps = [r for _, r in fac.factors]
+        assert tau_n2[i] == prod(2 * r + 1 for r in exps), n
+        assert tau[i] == prod(r + 1 for r in exps), n
+        assert omega[i] == fac.omega, n
+        assert big_omega[i] == fac.big_omega, n
+
+
+_NEAR_SEGMENT = st.builds(
+    lambda k, d: k * SEGMENT_WIDTH + d, st.integers(1, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**9),
+       st.one_of(_NEAR_SEGMENT, st.integers(1, 5000)),
+       st.integers(1, 5000))
+@example(SIEVE_MAX_POINT - 3001, 1000, 2000)  # one prime table, 2^26 - 1
+def test_interval_sums_are_additive(x, h1, h2):
+    whole = interval_sums_all(x, h1 + h2)
+    left = interval_sums_all(x, h1)
+    right = interval_sums_all(x + h1, h2)
+    for fid in ALL_FNS:
+        assert whole[fid].exact == left[fid].exact + right[fid].exact
