@@ -39,9 +39,8 @@ from mpmath import mp, mpc, mpf
 from .eulerform import EulerForm, euler_form, inv_tau_euler_form, local_series
 from .functions import MultFnId, spec
 from .powerseries import log_one_minus_x
-from .sieve import primes_up_to
+from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
-    _mobius_upto,
     _prime_zeta_kmax,
     _prime_zeta_mobius,
     prime_zeta,

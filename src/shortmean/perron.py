@@ -39,11 +39,12 @@ from .zeta import _as_grid, _dirichlet_grid, zeta_many
 # Gauss-Legendre 16 on [-1, 1]
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 
-# ln G on the contour: closed-form local factors for p <= _LNG_P0, then the
-# n-series over prime tails; cutoffs sized so the dropped mass is < 1e-9
-# for Re s >= 1.05.
+# ln G on the contour: local factors for p <= _LNG_P0, then the n = 3, 4
+# series over _LNG_P0 < p <= _LNG_CUTOFF[n].  For Re s >= 1.05 the rest,
+# every n >= 5 tail included, is within the 1e-9 budget that
+# test_ln_G_line_truncation_budget checks.
 _LNG_P0 = 61
-_LNG_CUTOFF = {3: 2000, 4: 200, 5: 61, 6: 61}
+_LNG_CUTOFF = {3: 2000, 4: 200}
 
 # Below this height, where |F x^s/s| is largest and most oscillatory, the
 # contour is integrated on quarter-height panels instead of unit ones.

@@ -1,4 +1,7 @@
-"""Segmented factorization sieve and exact interval sums.
+"""Prime table, segmented factorization sieve and exact interval sums.
+
+The only module that sieves: `primes_up_to` keeps one table of primes, and
+the smallest prime factors and Mobius values are built from its slices.
 
 Ground truth for every asymptotic claim: S_j(x;h) = sum_{x < n <= x+h} f_j(n)
 computed exactly.  The fast path never materializes factorizations; per
@@ -23,11 +26,9 @@ from math import isqrt
 
 import numpy as np
 
-from .functions import MultFnId, Factorization, spec
+from .functions import MultFnId, spec
 
 SEGMENT_WIDTH = 1 << 20
-SEGMENT_BUDGET = 1 << 22   # hard cap on a single sieve_segment request
-MAX_N = (1 << 63) - 1
 BASE_PRIME_BUDGET = 1 << 26          # largest base-prime table we will build
 SIEVE_MAX_POINT = BASE_PRIME_BUDGET**2  # so endpoints stay within 2^52
 
@@ -37,25 +38,51 @@ class CapacityError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# prime tables
+# prime table
 
-_prime_cache = {}
+_prime_cache = {}  # limit -> the primes <= limit, each a view of one table
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, int64, cached in memory by limit."""
+    """All primes <= limit, int64: a slice (view) of the one cached table.
+
+    The table is sieved again only for a limit above every earlier one;
+    each cached limit then becomes a view of the new table.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit in _prime_cache:
-        return _prime_cache[limit]
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64)
-    _prime_cache[limit] = primes
-    return primes
+    if limit not in _prime_cache:
+        top = max(_prime_cache, default=1)
+        if limit > top:
+            mask = np.ones(limit + 1, dtype=bool)
+            mask[:2] = False
+            for p in range(2, isqrt(limit) + 1):
+                if mask[p]:
+                    mask[p * p :: p] = False
+            table = np.nonzero(mask)[0].astype(np.int64, copy=False)
+            for k in _prime_cache:
+                _prime_cache[k] = table[: np.searchsorted(table, k, side="right")]
+        else:
+            table = _prime_cache[top]
+        _prime_cache[limit] = table[: np.searchsorted(table, limit, side="right")]
+    return _prime_cache[limit]
+
+
+def _spf_upto(n):
+    """int64 spf[k] = smallest prime factor of k <= n (spf[0] = 0, spf[1] = 1)."""
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in primes_up_to(isqrt(n))[::-1].tolist():  # smallest p writes last
+        spf[p * p :: p] = p
+    return spf
+
+
+def _mobius_upto(kmax):
+    """int64 mu with mu[k] = the Mobius function of k, 1 <= k <= kmax."""
+    mu = np.ones(kmax + 1, dtype=np.int64)
+    for p in primes_up_to(kmax).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -134,37 +161,6 @@ def _denominator_counts(stats, fid):
 
 # ---------------------------------------------------------------------------
 # public operations
-
-def sieve_segment(lo: int, hi: int):
-    """Complete factorizations of every n in [lo, hi], in increasing order."""
-    if lo < 1 or hi < lo:
-        raise ValueError(f"need 1 <= lo <= hi, got ({lo}, {hi})")
-    if hi > MAX_N:
-        raise CapacityError("interval endpoint beyond 2^63 - 1")
-    if hi - lo + 1 > SEGMENT_BUDGET:
-        raise CapacityError(
-            f"segment of {hi - lo + 1} integers exceeds budget {SEGMENT_BUDGET}"
-        )
-    width = hi - lo + 1
-    base = primes_up_to(isqrt(hi))
-    residual = list(range(lo, hi + 1))
-    factors = [[] for _ in range(width)]
-    for p in base:
-        p = int(p)
-        start = (-lo) % p
-        for i in range(start, width, p):
-            r = 0
-            while residual[i] % p == 0:
-                residual[i] //= p
-                r += 1
-            factors[i].append((p, r))
-    out = []
-    for i in range(width):
-        if residual[i] > 1:
-            factors[i].append((residual[i], 1))
-        out.append(Factorization(lo + i, tuple(factors[i])))
-    return out
-
 
 @dataclass(frozen=True)
 class IntervalSum:

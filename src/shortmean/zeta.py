@@ -32,7 +32,7 @@ import math
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .sieve import primes_up_to
+from .sieve import _mobius_upto, _spf_upto, primes_up_to
 
 _EM_K = 36  # Bernoulli correction depth (double precision)
 
@@ -141,30 +141,13 @@ def zeta(s):
 # ---------------------------------------------------------------------------
 # high-precision evaluator (mpmath)
 
-_SPF = [0, 1]  # smallest prime factor of each index; grown on demand
-
-
-def _smallest_prime_factors(n):
-    """Table spf with spf[k] = smallest prime factor of k, for k <= n."""
-    if len(_SPF) <= n:
-        size = max(n + 1, 2 * len(_SPF))
-        spf = list(range(size))
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if spf[p] == p:
-                for k in range(p * p, size, p):
-                    if spf[k] == k:
-                        spf[k] = p
-        _SPF[:] = spf
-    return _SPF
-
-
 def _dirichlet_powers(s, N):
     """[n^{-s} for n = 0..N] (entry 0 unused) at the working precision.
 
     n^{-s} is completely multiplicative, so mp.power runs only at primes;
-    a composite n takes pow[spf(n)] * pow[n // spf(n)].
+    a composite n takes pow[spf(n)] * pow[n // spf(n)] (`sieve._spf_upto`).
     """
-    spf = _smallest_prime_factors(N)
+    spf = _spf_upto(N).tolist()
     pw = [mpc(0), mpc(1)]
     for n in range(2, N + 1):
         p = spf[n]
@@ -232,15 +215,6 @@ def w_hp(s):
 
 # ---------------------------------------------------------------------------
 # prime zeta function  P(s) = sum_p p^{-s}
-
-def _mobius_upto(kmax):
-    mu = np.ones(kmax + 1, dtype=np.int64)
-    for p in primes_up_to(kmax):
-        p = int(p)
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    return mu
-
 
 def _prime_zeta_kmax(sigma):
     """Terms of the Mobius-log series for P at Re = sigma, mp.dps digits."""

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from shortmean.constants import ln_G_hp, ln_G_p_np
-from shortmean.functions import ALL_FNS, MultFnId, f_value
+from shortmean.functions import ALL_FNS, MultFnId, spec
 from shortmean.perron import (
     _LNG_CUTOFF,
     _LNG_P0,
@@ -18,31 +18,22 @@ from shortmean.perron import (
     perron_truncated,
 )
 from shortmean.eulerform import euler_form
-from shortmean.sieve import interval_sum, primes_up_to, sieve_segment
+from shortmean.sieve import _segment_stats, interval_sum, primes_up_to
 
 
-def dirichlet_sum(fid, s, facs):
-    """sum f(n) n^{-s} over n = 1..len(facs), facs from sieve_segment(1, .).
-
-    f(n) depends only on the exponents of n, so f_value runs once per
-    exponent pattern.
-    """
-    by_exponents = {}
-    coef = np.empty(len(facs))
-    for i, fc in enumerate(facs):
-        key = tuple(r for _, r in fc.factors)
-        if key not in by_exponents:
-            by_exponents[key] = float(f_value(fid, fc))
-        coef[i] = by_exponents[key]
-    n = np.arange(1, len(facs) + 1, dtype=float)
+def dirichlet_sum(fid, s, stats):
+    """sum f(n) n^{-s} over n = 1..N, stats = _segment_stats(1, N, .)."""
+    coef = 1.0 / spec(fid).denominator(*stats)
+    n = np.arange(1, len(coef) + 1, dtype=float)
     return complex(np.sum(coef * np.exp(-s * np.log(n))))
 
 
 def test_F_eval_matches_dirichlet_sum_at_two():
     limit = 200000
-    facs = sieve_segment(1, limit)  # shared by both functions
+    # shared by both functions
+    stats = _segment_stats(1, limit, primes_up_to(math.isqrt(limit)))
     for fid in (MultFnId.INV_TWO_OMEGA, MultFnId.INV_TWO_BIG_OMEGA):
-        direct = dirichlet_sum(fid, 2.0 + 0j, facs)
+        direct = dirichlet_sum(fid, 2.0 + 0j, stats)
         val = complex(F_eval(fid, np.array([2.0 + 0j]))[0])
         # Dirichlet tail at sigma=2 is below sum_{n>limit} n^{-2} ~ 1/limit
         assert abs(val - direct) < 2.0 / limit
@@ -50,8 +41,6 @@ def test_F_eval_matches_dirichlet_sum_at_two():
 
 def test_F_eval_f4_product_form():
     # f4 has the clean Euler product prod_p (1 - p^{-s}/2)^{-1}
-    from shortmean.sieve import primes_up_to
-
     p = primes_up_to(10**6).astype(float)
     direct = float(np.exp(-np.sum(np.log1p(-0.5 * p**-2.0))))
     val = complex(F_eval(MultFnId.INV_TWO_BIG_OMEGA, np.array([2.0 + 0j]))[0])

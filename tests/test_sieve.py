@@ -8,18 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shortmean import sieve
 from shortmean.functions import ALL_FNS, MultFnId, f_value, factorize
 from shortmean.sieve import (
     CapacityError,
-    MAX_N,
     SEGMENT_WIDTH,
     SIEVE_MAX_POINT,
+    _mobius_upto,
     _segment_stats,
+    _spf_upto,
     interval_counts,
     interval_sum,
     interval_sums_all,
     primes_up_to,
-    sieve_segment,
 )
 
 
@@ -37,6 +38,41 @@ def test_primes_up_to_matches_factorize_and_is_cached():
             if factorize(n).factors == ((n, 1),)]
     assert first.tolist() == want
     assert primes_up_to(10**4) is first
+
+
+def eratosthenes(limit):
+    is_prime = [False, False] + [True] * (limit - 1)
+    for p in range(2, isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = [False] * len(is_prime[p * p :: p])
+    return [n for n in range(limit + 1) if is_prime[n]]
+
+
+def test_primes_up_to_keeps_one_table(monkeypatch):
+    monkeypatch.setattr(sieve, "_prime_cache", {})
+    # a rebuild, two slices, then a rebuild that must re-view the slices
+    limits = [2**16, 2**16 - 1, 1000, 2**17]
+    for limit in limits:
+        assert primes_up_to(limit).tolist() == eratosthenes(limit), limit
+    cache = sieve._prime_cache
+    assert sorted(cache) == sorted(limits)
+    table = cache[2**17]
+    for limit, primes in cache.items():
+        assert np.shares_memory(primes, table), limit
+        assert primes.tolist() == eratosthenes(limit), limit
+
+
+def test_spf_and_mobius_match_trial_division():
+    n = 2000
+    spf = _spf_upto(n)
+    mu = _mobius_upto(n)
+    assert spf[:2].tolist() == [0, 1]
+    for k in range(2, n + 1):
+        assert spf[k] == next(d for d in range(2, k + 1) if k % d == 0), k
+    for k in range(1, n + 1):
+        fac = factorize(k)
+        squarefree = all(r == 1 for _, r in fac.factors)
+        assert mu[k] == ((-1) ** fac.omega if squarefree else 0), k
 
 
 def test_sum_first_five_inv_tau_sq():
@@ -80,11 +116,6 @@ def test_large_offset_sample():
         assert sums[fid].exact == brute_sum(fid, x, h)
 
 
-def test_sieve_segment_factorizations():
-    for fac in sieve_segment(999980, 1000020):
-        assert fac == factorize(fac.n)
-
-
 def test_approx_is_correctly_rounded():
     # a compensated float sum is 1 ulp off here
     s = interval_sum(MultFnId.INV_TAU_SQ, 0, 101100)
@@ -97,8 +128,12 @@ def test_approx_tracks_exact():
 
 
 def test_capacity_guard():
+    # the interval ends one past the cap; no prime table may be built
+    before = dict(sieve._prime_cache)
     with pytest.raises(CapacityError):
-        interval_sum(MultFnId.INV_TAU_SQ, MAX_N - 5, 10)
+        interval_sum(MultFnId.INV_TAU_SQ, SIEVE_MAX_POINT - 9, 10)
+    assert list(sieve._prime_cache) == list(before)
+    assert all(sieve._prime_cache[k] is v for k, v in before.items())
 
 
 def test_counts_sum_to_interval_length():
