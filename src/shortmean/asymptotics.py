@@ -69,25 +69,6 @@ class ExponentTable:
 
 
 @dataclass(frozen=True)
-class ContourChoice:
-    T: float
-    h_min: float  # (x/T) (ln x)^2, the "h >> (x/T) ln^2 x" threshold
-
-
-def choose_T(x: float, k: int, C1: float = 1.0) -> ContourChoice:
-    """Contour height T with T^{12/5 + c/k} D(x) = x, D(x) = e^{C1 (ln x)^{0.8}}."""
-    if x < 10:
-        raise ValueError("need x >= 10")
-    if C1 <= 0:
-        raise ValueError("need C1 > 0")
-    expo = float(DENSITY_EXPONENT + GROWTH_C / k)
-    lnx = math.log(x)
-    lnT = (lnx - C1 * lnx**0.8) / expo
-    T = math.exp(lnT)
-    return ContourChoice(T=T, h_min=(x / T) * lnx**2)
-
-
-@dataclass(frozen=True)
 class HThreshold:
     fid: MultFnId
     alpha: Fraction

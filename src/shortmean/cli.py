@@ -46,11 +46,17 @@ def _fids(name):
         raise UsageError(f"unknown function selector {name!r}") from None
 
 
-def _parse_ts(text):
+def _floats(text, what):
+    """Non-empty comma list of finite floats; empty entries are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v]
+        vals = [float(v) for v in text.split(",") if v]
     except ValueError:
-        raise UsageError(f"bad T list {text!r}") from None
+        raise UsageError(f"bad {what} list {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"non-finite value in {what} list {text!r}")
+    if not vals:
+        raise UsageError(f"empty {what} list")
+    return vals
 
 
 def _emit(args, payload_bytes):
@@ -207,7 +213,7 @@ def _cmd_perron(args):
     fids = _fids(args.fn if args.fn != "all" else "f3")
     fid = fids[0]
     if args.T and "," in args.T:
-        Ts = _parse_ts(args.T)
+        Ts = _floats(args.T, "T")
         rows = perron_error_scan(fid, args.x, Ts)
         slope = fit_loglog_slope(rows)
         if args.format == "csv":
@@ -238,13 +244,13 @@ def _cmd_perron(args):
         return json_report(payload)
     if args.format != "json":
         raise UsageError(f"--format {args.format} needs a comma list of T")
-    T = float(args.T) if args.T else 1000.0
+    T = _floats(args.T, "T")[0] if args.T else 1000.0
     run = perron_truncated(fid, args.x, T)
     return json_report({"report": "perron", "run": run.to_json_dict()})
 
 
 def _cmd_zeta_moment(args):
-    Ts = _parse_ts(args.T)
+    Ts = _floats(args.T, "T")
     rows = []
     for T in Ts:
         m = second_moment(T)
@@ -288,12 +294,7 @@ def _parse_h_rule(text):
 def _cmd_sweep(args):
     fids = _fids(args.fn)
     expo = _parse_h_rule(args.h_rule)
-    try:
-        xs = [int(float(v)) for v in args.xs.split(",") if v]
-    except ValueError:
-        raise UsageError(f"bad x list {args.xs!r}") from None
-    if not xs:
-        raise UsageError("empty x list")
+    xs = [int(v) for v in _floats(args.xs, "x")]
     rows = []
     for fid in fids:
         for x in xs:

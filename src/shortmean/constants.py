@@ -36,14 +36,14 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .eulerform import EulerForm, euler_form, inv_tau_euler_form, local_series
+from .eulerform import EulerForm, euler_form, local_series
 from .functions import MultFnId, spec
 from .powerseries import log_one_minus_x
 from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
     _prime_zeta_kmax,
     _prime_zeta_mobius,
-    prime_zeta,
+    prime_zeta_hp,
     w_hp,
     zeta_hp,
 )
@@ -134,25 +134,6 @@ def ln_G_hp(ef: EulerForm, s):
         if n < M:
             pows = [x * y for x, y in zip(pows, small)]
     return total, _ln_G_tail_bound(ef, sigma)
-
-
-def G_product_direct(ef: EulerForm, s, limit=10**6):
-    """Oracle: direct product prod_{p <= limit} G_p(s), double precision.
-
-    Returns (value, tail_bound); tail_bound covers the dropped p > limit.
-    """
-    s = complex(s)
-    total = 0.0 + 0.0j
-    for p_block in np.array_split(primes_up_to(limit), max(1, limit // 10**6)):
-        X = np.exp(-s * np.log(p_block.astype(float)))
-        total += ln_G_p_np(ef, X).sum()
-    # |ln G_p| <~ gmax * p^{-3 sigma} / (1 - p^{-sigma})
-    sigma = s.real
-    gmax = float(_g_bound(ef))
-    tail = (
-        2 * gmax * limit ** (1 - 3 * sigma) / ((3 * sigma - 1) * math.log(limit))
-    )
-    return complex(np.exp(total)), float(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +285,23 @@ _A0_TAIL_ORDER = 8
 def ramanujan_A0_product(limit=10**6):
     """A0 = (1/sqrt(pi)) prod_p sqrt(p(p-1)) ln(p/(p-1)), log-domain sum
     over p <= limit with a series tail correction.  Returns (value, bound).
+
+    The tail is sum_k d_k (P(k) - sum_{p <= limit} p^{-k}), k = 2..8, with
+    each prime zeta value P(k) from `prime_zeta_hp` at CONSTANTS_DPS
+    digits, so the result does not depend on the ambient mp.dps.
     """
     p = primes_up_to(limit).astype(float)
     logf = 0.5 * (np.log(p) + np.log(p - 1)) + np.log(-np.log1p(-1.0 / p))
     total = float(np.sum(logf))
     tail_order = _A0_TAIL_ORDER
     d = _eq1_tail_coeffs(tail_order)
-    for k in range(2, tail_order + 1):
-        if d[k] == 0:
-            continue
-        pz = prime_zeta(float(k)).real
-        ptail = pz - float(np.sum(p ** (-float(k))))
-        total += float(d[k]) * ptail
+    with mp.workdps(CONSTANTS_DPS):
+        for k in range(2, tail_order + 1):
+            if d[k] == 0:
+                continue
+            pz = float(prime_zeta_hp(k).real)
+            ptail = pz - float(np.sum(p ** (-float(k))))
+            total += float(d[k]) * ptail
     # next omitted coefficient bounds the remainder, with
     # sum_{p > limit} p^{-m} <= int_limit^oo u^{-m} du = limit^{1-m}/(m-1)
     m = tail_order + 1
@@ -326,7 +312,7 @@ def ramanujan_A0_product(limit=10**6):
 
 def ramanujan_A0_eulerform(order=24):
     """Independent route: A0 = Pi_0 / Gamma(1/2) from the 1/tau Euler form."""
-    ef = inv_tau_euler_form(order)
+    ef = euler_form("inv_tau", order)
     with mp.workdps(CONSTANTS_DPS):
         pi0 = pi_function(ef, 0)
         return float(pi0.real / mp.sqrt(mp.pi))

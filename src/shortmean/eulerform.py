@@ -18,15 +18,18 @@ Two derived values differ from commonly quoted displays; the text is
     19/244 fails the g_2 = 0 identity);
   * f3: the derived exponent is +1/8 (a display with the opposite sign
     fails g_2 = 0).
+
+`euler_form` is the one derivation, for the four target functions and
+for 1/tau(n) ("inv_tau", behind Ramanujan's A0).  A single g_n is
+`EulerForm.g_at(n)`; the CLI serializes the record via `to_json_dict`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .functions import MultFnId, local_value, spec
+from .functions import local_value, spec
 from .powerseries import PowerSeriesQ, log_one_minus_x, log_one_minus_x2
 
 DEFAULT_ORDER = 24
@@ -70,15 +73,13 @@ class EulerForm:
             "flags": list(self.flags),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _derive(fid, order: int) -> EulerForm:
+def euler_form(fid, order: int = DEFAULT_ORDER) -> EulerForm:
+    """Derive (a, b, g_n) for a MultFnId, or for "inv_tau" (1/tau(n))."""
     if order < 3:
         raise ValueError("order must be >= 3")
     lf = local_series(fid, order).log()
@@ -91,43 +92,6 @@ def _derive(fid, order: int) -> EulerForm:
     flag = spec(fid).flag
     flags = (flag,) if flag else ()
     return EulerForm(fid=fid, a=a, b=b, g=g, order=order, flags=flags)
-
-
-def euler_form(fid: MultFnId, order: int = DEFAULT_ORDER) -> EulerForm:
-    """Derive (a, b, g_n) for one of the four target functions."""
-    return _derive(fid, order)
-
-
-def inv_tau_euler_form(order: int = DEFAULT_ORDER) -> EulerForm:
-    """Euler form of 1/tau(n): a = 1/2, b = -1/24."""
-    return _derive("inv_tau", order)
-
-
-def g_coefficient(fid: MultFnId, n: int, order: int = DEFAULT_ORDER) -> Fraction:
-    """g_n for the given function (0 for n in {1, 2})."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n <= 2:
-        return Fraction(0)
-    return euler_form(fid, max(order, n)).g_at(n)
-
-
-def g_closed_form(fid: MultFnId, n: int) -> Fraction:
-    """Piecewise closed form of g_n, available for f3 and f4 only.
-
-    f3: g_n = (1/n)(1/2 - 2^{-n}) for odd n, (1/n)(1/4 - 2^{-n}) for even n;
-    f4 is the same with opposite sign.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if fid is MultFnId.INV_TWO_OMEGA:
-        sign = 1
-    elif fid is MultFnId.INV_TWO_BIG_OMEGA:
-        sign = -1
-    else:
-        raise ValueError("closed form only available for f3 and f4")
-    base = Fraction(1, 2) if n % 2 else Fraction(1, 4)
-    return sign * Fraction(1, n) * (base - Fraction(1, 2**n))
 
 
 def reconstruct_local_series(ef: EulerForm) -> PowerSeriesQ:

@@ -1,4 +1,4 @@
-"""The four target multiplicative functions and factorization records.
+"""The four target multiplicative functions, as rules on prime powers.
 
 Each function is determined by its value on prime powers p^k, which here
 depends only on the exponent k:
@@ -146,62 +146,3 @@ def local_value(fid, k: int) -> Fraction:
     if k == 0:
         return Fraction(1)
     return spec(fid).local(k)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization of n as ordered (prime, exponent) pairs."""
-
-    n: int
-    factors: tuple  # ((p1, r1), (p2, r2), ...) with p1 < p2 < ...
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        prod = 1
-        last_p = 0
-        for p, r in self.factors:
-            if p <= last_p:
-                raise ValueError("primes must be distinct and increasing")
-            if r < 1:
-                raise ValueError("exponents must be >= 1")
-            last_p = p
-            prod *= p**r
-        if prod != self.n:
-            raise ValueError(f"factor product {prod} != n = {self.n}")
-
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
-
-    @property
-    def big_omega(self) -> int:
-        return sum(r for _, r in self.factors)
-
-
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; fine for small n and for test oracles."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = n
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            r = 0
-            while m % d == 0:
-                m //= d
-                r += 1
-            factors.append((d, r))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
-
-
-def f_value(fid: MultFnId, fac: Factorization) -> Fraction:
-    """f(n) = product of local values over the prime-power factors."""
-    out = Fraction(1)
-    for _, r in fac.factors:
-        out *= local_value(fid, r)
-    return out

@@ -162,7 +162,8 @@ class PerronRun:
 
 
 def _check_x(x):
-    if x < 10.5 or (2 * x) != int(2 * x) or int(2 * x) % 2 == 0:
+    if (not math.isfinite(x) or x < 10.5
+            or (2 * x) != int(2 * x) or int(2 * x) % 2 == 0):
         raise ValueError("x must be a half-integer N + 1/2 with x >= 10.5")
 
 
@@ -203,7 +204,12 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
 
 
 def fit_loglog_slope(rows) -> float:
-    """Least-squares slope of ln(abs_err) against ln(T) over scan rows."""
+    """Least-squares slope of ln(abs_err) against ln(T) over scan rows.
+
+    A slope needs at least two distinct T; fewer is a ValueError.
+    """
+    if len({r[0] for r in rows}) < 2:
+        raise ValueError("a slope needs at least two distinct T")
     lt = np.log([r[0] for r in rows])
     le = np.log([max(r[1], 1e-300) for r in rows])
     A = np.vstack([lt, np.ones_like(lt)]).T

@@ -24,21 +24,6 @@ class PowerSeriesQ:
     def order(self):
         return len(self.coeffs) - 1
 
-    @classmethod
-    def zero(cls, order):
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
-    def one(cls, order):
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
-    def x(cls, order):
-        c = [Fraction(0)] * (order + 1)
-        if order >= 1:
-            c[1] = Fraction(1)
-        return cls(c)
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeriesQ):
             return NotImplemented
@@ -57,13 +42,6 @@ class PowerSeriesQ:
     def __add__(self, other):
         self._check_same_order(other)
         return PowerSeriesQ([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check_same_order(other)
-        return PowerSeriesQ([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return PowerSeriesQ([-a for a in self.coeffs])
 
     def scale(self, r):
         r = Fraction(r)

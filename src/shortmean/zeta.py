@@ -18,11 +18,8 @@ Two evaluators share one algorithm:
 
 The high-precision prime zeta P(s) is the Mobius-log series
 sum_k mu(k)/k * log zeta(ks); `_prime_zeta_mobius` lets ln G share each
-log zeta(ms) across the P(ns) of one point s.
-
-`zeta_integral_rep` implements the independent representation
-zeta(s) = 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du
-by panel quadrature; it serves as a cross-check of the main evaluator.
+log zeta(ms) across the P(ns) of one point s.  Ramanujan's A0 takes
+its P(k) from it as well.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import math
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .sieve import _mobius_upto, _spf_upto, primes_up_to
+from .sieve import _mobius_upto, _spf_upto
 
 _EM_K = 36  # Bernoulli correction depth (double precision)
 
@@ -131,11 +128,6 @@ def zeta_many(s):
     for a in range(0, len(grid), _GRID_ROWS):
         out[a : a + _GRID_ROWS] = zeta_em(grid[a : a + _GRID_ROWS])
     return out.reshape(s.shape)
-
-
-def zeta(s):
-    """Single-point double-precision zeta (Re s > 0, s != 1)."""
-    return complex(zeta_many(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,92 +247,3 @@ def prime_zeta_hp(s):
         raise ValueError("prime_zeta requires Re s > 1")
     mu = _mobius_upto(_prime_zeta_kmax(float(s.real)))
     return _prime_zeta_mobius(s, 1, mu, {})
-
-
-def prime_zeta(s):
-    """Double-precision P(s) for Re s > 1 (scalar)."""
-    s = complex(s)
-    if s.real <= 1:
-        raise ValueError("prime_zeta requires Re s > 1")
-    kmax = max(4, int(60.0 / s.real) + 2)  # |log zeta(ks)| ~ 2^{-k Re s}
-    mu = _mobius_upto(kmax)
-    total = 0.0 + 0.0j
-    for k in range(1, kmax + 1):
-        if mu[k] == 0:
-            continue
-        zk = zeta(k * s)
-        term = np.log(zk) * mu[k] / k
-        total += term
-        if k > 1 and abs(term) < 1e-17:
-            break
-    return complex(total)
-
-
-def prime_zeta_direct(s, limit=10**7):
-    """Oracle: direct sum over primes <= limit plus an integral tail estimate.
-
-    Returns (value, tail_bound).  Real s only (the oracle role).
-    """
-    s = float(s)
-    p = primes_up_to(limit).astype(float)
-    val = float(np.sum(p**-s))
-    # tail ~ int_limit^oo dt / (t^s ln t) <= limit^{1-s} / ((s-1) ln limit)
-    tail = limit ** (1.0 - s) / ((s - 1.0) * math.log(limit))
-    return val, tail
-
-
-# ---------------------------------------------------------------------------
-# independent integral representation (cross-check only)
-
-_INTREP_PANELS = 10_000
-
-
-def zeta_integral_rep(s, nodes=8):
-    """zeta via 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du.
-
-    Panel-per-integer Gauss-Legendre quadrature on [1, M], M =
-    _INTREP_PANELS + 1; the dropped tail is bounded by
-    |s(s+1)| / (8 (sigma+1) M^{sigma+1})
-    (integration by parts; the sawtooth antiderivative is <= 1/8).
-    Returns (value, tail_bound).
-    """
-    s = complex(s)
-    if s.real <= 0 or s == 1:
-        raise ValueError("representation requires Re s > 0, s != 1")
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    m = np.arange(1, _INTREP_PANELS + 1, dtype=float)[:, None]
-    u = m + 0.5 * (xg[None, :] + 1.0)
-    rho = 0.5 - (u - m)
-    integrand = rho * np.exp((-s - 1) * np.log(u))
-    integral = 0.5 * np.sum(integrand * wg[None, :])
-    M = _INTREP_PANELS + 1
-    tail_bound = abs(s * (s + 1)) / (8 * (s.real + 1) * M ** (s.real + 1))
-    val = 0.5 + 1.0 / (s - 1.0) + s * integral
-    return complex(val), float(tail_bound)
-
-
-# ---------------------------------------------------------------------------
-# Hardy function sanity zero
-
-def hardy_z(t):
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t."""
-    with mp.workdps(25):
-        theta = mp.im(mp.loggamma(mpf(0.25) + 0.5j * t)) - t / 2 * mp.log(mp.pi)
-        theta = float(theta)
-    z = zeta(0.5 + 1j * t)
-    return (complex(math.cos(theta), math.sin(theta)) * z).real
-
-
-def first_zero(lo=14.0, hi=14.2, tol=1e-9):
-    """Locate the first critical-line zero by bisection on Hardy Z."""
-    flo, fhi = hardy_z(lo), hardy_z(hi)
-    if flo * fhi > 0:
-        raise ValueError("no sign change in bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = hardy_z(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)

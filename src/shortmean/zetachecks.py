@@ -1,21 +1,21 @@
 """Desk-scale numerical checks of the zeta estimates used by the
 short-interval machinery: the critical-line second moment, the incomplete
-Gamma tail bound, the subconvex growth envelope with exponent constant
-c = 64/205, and the small-arc bounds around s = 1/2.
+Gamma tail bound and the small-arc bounds around s = 1/2.  GROWTH_C is
+the subconvex growth exponent constant c = 64/205 of the admissible
+intervals (`asymptotics.admissible_alpha`).
 
 All scans run in double precision through `zeta_many`, whose direct
 sums all go through the shifted-row kernel `zeta._dirichlet_grid`;
 quadrature is Gauss-Legendre on fixed panels with adaptive halving when
 two estimates of a panel disagree by more than 1e-4 relative.  Every
 round of the second moment has panels of one width, so its nodes form
-one grid whose rows are height shifts; the growth and arc samples go in
-as one column.
+one grid whose rows are height shifts; the arc samples go in as one
+column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -107,53 +107,6 @@ def gamma_tail_check(lam: float, k: int, gamma: Fraction):
     lhs += tail
     rhs = math.e * math.factorial(k) * lam**expo * math.exp(-lam)
     return lhs, rhs, bool(lhs < rhs)
-
-
-@dataclass
-class GrowthEnvelopeReport:
-    c: Fraction
-    samples: list  # (sigma, t, abs_zeta, envelope, ratio)
-    fittedK: float
-
-    def csv_rows(self):
-        yield ("sigma", "t", "abs_zeta", "envelope", "ratio")
-        for row in self.samples:
-            yield row
-
-
-def growth_envelope(sigmas=None, ts=None) -> GrowthEnvelopeReport:
-    """Fitted constant of |zeta(sigma+it)| <= K t^{c(1-sigma)} ln t over a grid.
-
-    Defaults cover sigma in [1/2, 1] and t in [10, 1e4].
-    """
-    if sigmas is None:
-        sigmas = [0.5 + 0.1 * i for i in range(6)]
-    if ts is None:
-        ts = [10.0 * 10 ** (0.25 * i) for i in range(13)]  # 10 .. 1e4
-    sigmas = [float(s) for s in sigmas]
-    ts = [float(t) for t in ts]
-    if not sigmas or not ts:
-        raise ValueError("empty grid")
-    for s in sigmas:
-        if not 0.5 <= s <= 1.0:
-            raise ValueError("sigma outside [1/2, 1]")
-    for t in ts:
-        if not 10.0 <= t <= 1e4:
-            raise ValueError("t outside [10, 1e4]")
-    c = float(GROWTH_C)
-    pts = np.array([complex(s, t) for s in sigmas for t in ts])
-    vals = np.abs(zeta_many(pts))
-    samples = []
-    fittedK = 0.0
-    i = 0
-    for s in sigmas:
-        for t in ts:
-            env = t ** (c * (1.0 - s)) * math.log(t)
-            ratio = float(vals[i]) / env
-            samples.append((s, t, float(vals[i]), env, ratio))
-            fittedK = max(fittedK, ratio)
-            i += 1
-    return GrowthEnvelopeReport(c=GROWTH_C, samples=samples, fittedK=fittedK)
 
 
 _ARC_ANGLES = 64

@@ -1,0 +1,280 @@
+"""Reference implementations that the tests compare shortmean against.
+
+Each oracle takes an independent route to a quantity the package
+computes (trial division, a direct prime sum or product, the sawtooth
+integral for zeta, closed forms), or is a check that only the tests run.
+Test modules import them with `from oracles import ...`; pytest puts
+this directory on sys.path because `tests/` is not a package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+from mpmath import mp, mpf
+
+from shortmean.asymptotics import DENSITY_EXPONENT
+from shortmean.constants import _g_bound, ln_G_p_np
+from shortmean.eulerform import EulerForm
+from shortmean.functions import MultFnId, local_value
+from shortmean.sieve import primes_up_to
+from shortmean.zeta import zeta_many
+from shortmean.zetachecks import GROWTH_C
+
+# ---------------------------------------------------------------------------
+# factorization records (from functions)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Complete factorization of n as ordered (prime, exponent) pairs."""
+
+    n: int
+    factors: tuple  # ((p1, r1), (p2, r2), ...) with p1 < p2 < ...
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        prod = 1
+        last_p = 0
+        for p, r in self.factors:
+            if p <= last_p:
+                raise ValueError("primes must be distinct and increasing")
+            if r < 1:
+                raise ValueError("exponents must be >= 1")
+            last_p = p
+            prod *= p**r
+        if prod != self.n:
+            raise ValueError(f"factor product {prod} != n = {self.n}")
+
+    @property
+    def omega(self) -> int:
+        return len(self.factors)
+
+    @property
+    def big_omega(self) -> int:
+        return sum(r for _, r in self.factors)
+
+
+def factorize(n: int) -> Factorization:
+    """Trial-division factorization; fine for small n and for test oracles."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = n
+    factors = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            r = 0
+            while m % d == 0:
+                m //= d
+                r += 1
+            factors.append((d, r))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
+
+
+def f_value(fid: MultFnId, fac: Factorization) -> Fraction:
+    """f(n) = product of local values over the prime-power factors."""
+    out = Fraction(1)
+    for _, r in fac.factors:
+        out *= local_value(fid, r)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed form of g_n (from eulerform)
+
+
+def g_closed_form(fid: MultFnId, n: int) -> Fraction:
+    """Piecewise closed form of g_n, available for f3 and f4 only.
+
+    f3: g_n = (1/n)(1/2 - 2^{-n}) for odd n, (1/n)(1/4 - 2^{-n}) for even n;
+    f4 is the same with opposite sign.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if fid is MultFnId.INV_TWO_OMEGA:
+        sign = 1
+    elif fid is MultFnId.INV_TWO_BIG_OMEGA:
+        sign = -1
+    else:
+        raise ValueError("closed form only available for f3 and f4")
+    base = Fraction(1, 2) if n % 2 else Fraction(1, 4)
+    return sign * Fraction(1, n) * (base - Fraction(1, 2**n))
+
+
+# ---------------------------------------------------------------------------
+# direct Euler product of G (from constants)
+
+
+def G_product_direct(ef: EulerForm, s, limit=10**6):
+    """Oracle: direct product prod_{p <= limit} G_p(s), double precision.
+
+    Returns (value, tail_bound); tail_bound covers the dropped p > limit.
+    """
+    s = complex(s)
+    total = 0.0 + 0.0j
+    for p_block in np.array_split(primes_up_to(limit), max(1, limit // 10**6)):
+        X = np.exp(-s * np.log(p_block.astype(float)))
+        total += ln_G_p_np(ef, X).sum()
+    # |ln G_p| <~ gmax * p^{-3 sigma} / (1 - p^{-sigma})
+    sigma = s.real
+    gmax = float(_g_bound(ef))
+    tail = (
+        2 * gmax * limit ** (1 - 3 * sigma) / ((3 * sigma - 1) * math.log(limit))
+    )
+    return complex(np.exp(total)), float(tail)
+
+
+# ---------------------------------------------------------------------------
+# zeta: scalar form, direct prime zeta, sawtooth integral, first zero
+# (from zeta)
+
+
+def zeta(s):
+    """Single-point double-precision zeta (Re s > 0, s != 1)."""
+    return complex(zeta_many(np.array([s]))[0])
+
+
+def prime_zeta_direct(s, limit=10**7):
+    """Oracle: direct sum over primes <= limit plus an integral tail estimate.
+
+    Returns (value, tail_bound).  Real s only (the oracle role).
+    """
+    s = float(s)
+    p = primes_up_to(limit).astype(float)
+    val = float(np.sum(p**-s))
+    # tail ~ int_limit^oo dt / (t^s ln t) <= limit^{1-s} / ((s-1) ln limit)
+    tail = limit ** (1.0 - s) / ((s - 1.0) * math.log(limit))
+    return val, tail
+
+
+_INTREP_PANELS = 10_000
+
+
+def zeta_integral_rep(s, nodes=8):
+    """zeta via 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du.
+
+    Panel-per-integer Gauss-Legendre quadrature on [1, M], M =
+    _INTREP_PANELS + 1; the dropped tail is bounded by
+    |s(s+1)| / (8 (sigma+1) M^{sigma+1})
+    (integration by parts; the sawtooth antiderivative is <= 1/8).
+    Returns (value, tail_bound).
+    """
+    s = complex(s)
+    if s.real <= 0 or s == 1:
+        raise ValueError("representation requires Re s > 0, s != 1")
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    m = np.arange(1, _INTREP_PANELS + 1, dtype=float)[:, None]
+    u = m + 0.5 * (xg[None, :] + 1.0)
+    rho = 0.5 - (u - m)
+    integrand = rho * np.exp((-s - 1) * np.log(u))
+    integral = 0.5 * np.sum(integrand * wg[None, :])
+    M = _INTREP_PANELS + 1
+    tail_bound = abs(s * (s + 1)) / (8 * (s.real + 1) * M ** (s.real + 1))
+    val = 0.5 + 1.0 / (s - 1.0) + s * integral
+    return complex(val), float(tail_bound)
+
+
+def hardy_z(t):
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t."""
+    with mp.workdps(25):
+        theta = mp.im(mp.loggamma(mpf(0.25) + 0.5j * t)) - t / 2 * mp.log(mp.pi)
+        theta = float(theta)
+    z = zeta(0.5 + 1j * t)
+    return (complex(math.cos(theta), math.sin(theta)) * z).real
+
+
+def first_zero(lo=14.0, hi=14.2, tol=1e-9):
+    """Locate the first critical-line zero by bisection on Hardy Z."""
+    flo, fhi = hardy_z(lo), hardy_z(hi)
+    if flo * fhi > 0:
+        raise ValueError("no sign change in bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = hardy_z(mid)
+        if flo * fm <= 0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# subconvex growth envelope (from zetachecks)
+
+
+@dataclass
+class GrowthEnvelopeReport:
+    c: Fraction
+    samples: list  # (sigma, t, abs_zeta, envelope, ratio)
+    fittedK: float
+
+    def csv_rows(self):
+        yield ("sigma", "t", "abs_zeta", "envelope", "ratio")
+        for row in self.samples:
+            yield row
+
+
+def growth_envelope(sigmas=None, ts=None) -> GrowthEnvelopeReport:
+    """Fitted constant of |zeta(sigma+it)| <= K t^{c(1-sigma)} ln t over a grid.
+
+    Defaults cover sigma in [1/2, 1] and t in [10, 1e4].
+    """
+    if sigmas is None:
+        sigmas = [0.5 + 0.1 * i for i in range(6)]
+    if ts is None:
+        ts = [10.0 * 10 ** (0.25 * i) for i in range(13)]  # 10 .. 1e4
+    sigmas = [float(s) for s in sigmas]
+    ts = [float(t) for t in ts]
+    if not sigmas or not ts:
+        raise ValueError("empty grid")
+    for s in sigmas:
+        if not 0.5 <= s <= 1.0:
+            raise ValueError("sigma outside [1/2, 1]")
+    for t in ts:
+        if not 10.0 <= t <= 1e4:
+            raise ValueError("t outside [10, 1e4]")
+    c = float(GROWTH_C)
+    pts = np.array([complex(s, t) for s in sigmas for t in ts])
+    vals = np.abs(zeta_many(pts))
+    samples = []
+    fittedK = 0.0
+    i = 0
+    for s in sigmas:
+        for t in ts:
+            env = t ** (c * (1.0 - s)) * math.log(t)
+            ratio = float(vals[i]) / env
+            samples.append((s, t, float(vals[i]), env, ratio))
+            fittedK = max(fittedK, ratio)
+            i += 1
+    return GrowthEnvelopeReport(c=GROWTH_C, samples=samples, fittedK=fittedK)
+
+
+# ---------------------------------------------------------------------------
+# contour height (from asymptotics)
+
+
+@dataclass(frozen=True)
+class ContourChoice:
+    T: float
+    h_min: float  # (x/T) (ln x)^2, the "h >> (x/T) ln^2 x" threshold
+
+
+def choose_T(x: float, k: int, C1: float = 1.0) -> ContourChoice:
+    """Contour height T with T^{12/5 + c/k} D(x) = x, D(x) = e^{C1 (ln x)^{0.8}}."""
+    if x < 10:
+        raise ValueError("need x >= 10")
+    if C1 <= 0:
+        raise ValueError("need C1 > 0")
+    expo = float(DENSITY_EXPONENT + GROWTH_C / k)
+    lnx = math.log(x)
+    lnT = (lnx - C1 * lnx**0.8) / expo
+    T = math.exp(lnT)
+    return ContourChoice(T=T, h_min=(x / T) * lnx**2)

@@ -14,10 +14,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import G_product_direct
 from shortmean.asymptotics import admissible_alpha, compare, predict
 from shortmean.cli import run as cli_run
 from shortmean.constants import (
-    G_product_direct,
     ln_G_hp,
     pi_taylor,
     ramanujan_A0_eulerform,
@@ -25,7 +25,6 @@ from shortmean.constants import (
 )
 from shortmean.eulerform import (
     euler_form,
-    g_coefficient,
     reconstruct_local_series,
     local_series,
 )
@@ -85,7 +84,7 @@ def test_criterion_1_exact_euler_series():
         # round trip: exp of the logarithmic form reproduces f(p^k) exactly
         rebuilt = reconstruct_local_series(ef)
         ok &= rebuilt.coeffs == local_series(fid, 12).coeffs
-    ok &= g_coefficient(MultFnId.INV_TAU_SQ, 3) == Fraction(-64, 2835)
+    ok &= euler_form(MultFnId.INV_TAU_SQ).g_at(3) == Fraction(-64, 2835)
     # both places where the derivation disagrees with the printed display
     # are flagged, with the derived value stated in the flag text
     f2_flag = spec(MultFnId.INV_TAU_SQUARED).flag or ""

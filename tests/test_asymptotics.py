@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import choose_T
 from shortmean.asymptotics import (
     ExponentTable,
     admissible_alpha,
-    choose_T,
     compare,
     h_threshold,
     model,

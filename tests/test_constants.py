@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import G_product_direct
 from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
@@ -15,7 +16,6 @@ from shortmean.constants import (
     _ln_G_p_hp,
     _ln_G_tail_bound,
     _q,
-    G_product_direct,
     gamma_route_K,
     ln_G_hp,
     pi_function,
@@ -25,7 +25,7 @@ from shortmean.constants import (
     ramanujan_A0_product,
     reflection_K,
 )
-from shortmean.eulerform import euler_form, inv_tau_euler_form
+from shortmean.eulerform import euler_form
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import primes_up_to
 from shortmean.zeta import prime_zeta_hp
@@ -199,6 +199,15 @@ def test_ramanujan_A0_truncation_consistency():
     v_small, b_small = ramanujan_A0_product(limit=10**3)
     v_big, b_big = ramanujan_A0_product(limit=10**6)
     assert abs(v_small - v_big) <= b_small + b_big
+
+
+def test_ramanujan_A0_product_ignores_ambient_precision():
+    # the tail's prime zeta values are computed at CONSTANTS_DPS digits
+    values = []
+    for dps in (15, 50):
+        with mp.workdps(dps):
+            values.append(ramanujan_A0_product())
+    assert values[0] == values[1]
 
 
 def test_ramanujan_A0_tail_bound_is_rigorous_and_tight():

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import g_closed_form
 from shortmean.eulerform import (
     DEFAULT_ORDER,
     euler_form,
-    g_closed_form,
-    inv_tau_euler_form,
     local_series,
     reconstruct_local_series,
 )
 from shortmean.functions import ALL_FNS, MultFnId
+from shortmean.reports import json_report
 
 EXPECTED_AB = {
     MultFnId.INV_TAU_SQ: (Fraction(1, 3), Fraction(-1, 45)),
@@ -40,7 +40,7 @@ def test_normalization_g1_g2_vanish():
         ef = euler_form(fid)
         assert ef.g_at(1) == 0
         assert ef.g_at(2) == 0
-    ef = inv_tau_euler_form()
+    ef = euler_form("inv_tau")
     assert ef.g_at(1) == 0 and ef.g_at(2) == 0
 
 
@@ -50,7 +50,7 @@ def test_g3_values():
 
 
 def test_inv_tau_form():
-    ef = inv_tau_euler_form()
+    ef = euler_form("inv_tau")
     assert (ef.a, ef.b) == (Fraction(1, 2), Fraction(-1, 24))
 
 
@@ -100,7 +100,7 @@ def test_discrepancy_flags_present():
 def test_json_round_trip_rationals():
     import json
 
-    d = json.loads(euler_form(MultFnId.INV_TAU_SQ).to_json())
+    d = json.loads(json_report(euler_form(MultFnId.INV_TAU_SQ).to_json_dict()))
     assert d["a"] == "1/3"
     assert d["b"] == "-1/45"
     assert d["g"][2] == "-64/2835"  # g_3 is the third entry (g_1, g_2, g_3)

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortmean.functions import (
-    ALL_FNS,
-    MultFnId,
-    Factorization,
-    f_value,
-    factorize,
-    local_value,
-)
+from oracles import Factorization, f_value, factorize
+from shortmean.functions import ALL_FNS, MultFnId, local_value
 
 
 def test_factorize_small_samples():

@@ -113,6 +113,21 @@ def test_removed_flags_are_usage_errors(argv):
     assert cap(argv)[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta-moment", "--T", "inf"],
+    ["perron", "--fn", "f3", "--x", "inf", "--T", "100"],
+    ["sweep", "--fn", "f4", "--xs", "inf"],
+    ["perron", "--fn", "f3", "--x", "100.5", "--T", "200,"],  # one-value scan
+    ["perron", "--fn", "f3", "--x", "100.5", "--T", ","],  # empty scans
+    ["zeta-moment", "--T", ","],
+])
+def test_non_finite_values_and_short_scans_are_usage_errors(argv, capsys):
+    rc, out = cap(argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and out == b""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_version_matches_pyproject(capsys):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     want = re.search(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(),

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import f_value, factorize
 from shortmean import sieve
-from shortmean.functions import ALL_FNS, MultFnId, f_value, factorize
+from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
     CapacityError,
     SEGMENT_WIDTH,

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import growth_envelope
 from shortmean.zetachecks import (
     GROWTH_C,
     arc_bounds_check,
     gamma_tail_check,
-    growth_envelope,
     second_moment,
 )
 
