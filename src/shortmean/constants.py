@@ -64,16 +64,6 @@ def _ln_G_p_hp(ef: EulerForm, X):
     )
 
 
-def ln_G_p_np(ef: EulerForm, X):
-    """ln G_p at an array of X = p^{-s}, double precision."""
-    a, b = float(ef.a), float(ef.b)
-    return (
-        np.log(spec(ef.fid).factor_np(X))
-        + a * np.log(1 - X)
-        + b * np.log(1 - X * X)
-    )
-
-
 def _q(frac):
     return mpf(frac.numerator) / frac.denominator
 

@@ -9,7 +9,12 @@ depends only on the exponent k:
     f4(p^k) = 2^{-k}        (2^{-Omega(n)})
 
 The value at n = 1 is the empty product, 1.  `spec(fid)` holds the
-rule of each function together with the forms derived from it.
+rule of each function together with the forms derived from it.  The one
+closed form is `factor_hp`, the local factor F_p at working precision:
+the constants pipeline evaluates it at every quadrature node, where it
+is faster than summing the local series to 30 digits.  Double precision
+needs none, since `perron.ln_G_line` sums ln G_p from the Euler form's
+g_n.
 """
 
 from __future__ import annotations
@@ -43,12 +48,12 @@ class FnSpec:
     """One function's local rule and the forms derived from it.
 
     Every per-function formula lives here, so no other module branches
-    on which function it is given.
+    on which function it is given.  `factor_hp` is the only closed form;
+    every other local quantity is derived from `local`.
     """
 
     local: Callable        # k -> f(p^k) as an exact rational, for k >= 1
     factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k, mpmath scalar
-    factor_np: Callable    # the same F_p, numpy-vectorized (complex arrays)
     denominator: Callable  # (tau_n2, tau, omega, big_omega) -> 1/f(n) arrays
     flag: str | None = None  # where a derived exponent disagrees with a display
 
@@ -58,51 +63,21 @@ def _f1_hp(X):
     return mp.atanh(z) / z  # sum X^k/(2k+1)
 
 
-def _f1_np(X):
-    z = np.sqrt(X)
-    return np.arctanh(z) / z
-
-
-def _f2_np(X):
-    # no numpy dilogarithm; 80 terms reach double precision for |X| <= 0.7
-    acc = np.zeros_like(X)
-    term = np.ones_like(X)
-    for k in range(1, 80):
-        term = term * X
-        acc = acc + term / (k + 1) ** 2
-    return 1.0 + acc
-
-
-def _f2_denominator(tau_n2, tau, omega, big_omega):
-    return tau.astype(object) ** 2 if tau.max() > 3_000_000 else tau**2
-
-
-def _f3_factor(X):
-    return (1 - X / 2) / (1 - X)
-
-
-def _f4_factor(X):
-    return 1 / (1 - X / 2)
-
-
 _SPECS = {
     MultFnId.INV_TAU_SQ: FnSpec(
         local=lambda k: Fraction(1, 2 * k + 1),
         factor_hp=_f1_hp,
-        factor_np=_f1_np,
         denominator=lambda tau_n2, tau, omega, big_omega: tau_n2,
     ),
     MultFnId.INV_TAU_SQUARED: FnSpec(
         local=lambda k: Fraction(1, (k + 1) ** 2),
         factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
-        factor_np=_f2_np,
-        denominator=_f2_denominator,
+        denominator=lambda tau_n2, tau, omega, big_omega: tau**2,
         flag="zeta2s-exponent: derived -13/288 (display prints 19/244)",
     ),
     MultFnId.INV_TWO_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2),
-        factor_hp=_f3_factor,
-        factor_np=_f3_factor,
+        factor_hp=lambda X: (1 - X / 2) / (1 - X),
         denominator=lambda tau_n2, tau, omega, big_omega: (
             np.int64(1) << omega.astype(np.int64)
         ),
@@ -110,8 +85,7 @@ _SPECS = {
     ),
     MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2**k),
-        factor_hp=_f4_factor,
-        factor_np=_f4_factor,
+        factor_hp=lambda X: 1 / (1 - X / 2),
         denominator=lambda tau_n2, tau, omega, big_omega: (
             np.int64(1) << big_omega.astype(np.int64)
         ),
@@ -120,7 +94,6 @@ _SPECS = {
     "inv_tau": FnSpec(
         local=lambda k: Fraction(1, k + 1),
         factor_hp=lambda X: -mp.log(1 - X) / X,  # sum X^k/(k+1)
-        factor_np=lambda X: -np.log(1 - X) / X,
         denominator=lambda tau_n2, tau, omega, big_omega: tau,
     ),
 }

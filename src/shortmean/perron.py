@@ -10,17 +10,16 @@ The remainder should shrink like x ln x / T; the scan over T fits the
 log-log slope and the single bounding constant.
 
 Everything here runs in double precision: F is evaluated via the
-vectorized Euler-Maclaurin zeta plus a finite-prime form of ln G whose
-truncation error (< 1e-9 on the contour) is far below the Perron
-remainders being measured.
+vectorized Euler-Maclaurin zeta plus a finite sum of the Euler form's
+ln G = sum_p sum_{n>=3} g_n p^{-ns}, whose truncation error (< 1e-9 on
+the contour) is far below the Perron remainders being measured.
 
 The contour is cut into equal GL16 panels (quarter-height below
 _REFINE_BELOW, unit-height above), so the rows of the (panels, 16) node
 grid are shifts of one another by whole panel widths.  F_eval takes such
-a grid whole: zeta(s), zeta(2s) and the prime tails of ln G go through
-the shifted-row kernel `zeta._dirichlet_grid`, which shares its
-exponentials along each column.  The one extra panel up to an off-grid T
-is a grid of one row.
+a grid whole: zeta(s), zeta(2s) and ln G go through the shifted-row
+kernel `zeta._dirichlet_grid`, which shares its exponentials along each
+column.  The one extra panel up to an off-grid T is a grid of one row.
 """
 
 from __future__ import annotations
@@ -30,21 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ln_G_p_np
 from .eulerform import EulerForm, euler_form
 from .functions import MultFnId
 from .sieve import interval_sum, primes_up_to
-from .zeta import _as_grid, _dirichlet_grid, zeta_many
+from .zeta import T_MAX, _as_grid, _dirichlet_grid, zeta_many
 
 # Gauss-Legendre 16 on [-1, 1]
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 
-# ln G on the contour: local factors for p <= _LNG_P0, then the n = 3, 4
-# series over _LNG_P0 < p <= _LNG_CUTOFF[n].  For Re s >= 1.05 the rest,
-# every n >= 5 tail included, is within the 1e-9 budget that
-# test_ln_G_line_truncation_budget checks.
+# ln G on the contour: g_n p^{-ns} over p <= _LNG_CUTOFF[n] for n = 3, 4
+# and p <= _LNG_P0 for n >= 5, keeping the terms with p^{-1.05 n} >= 1e-18
+# (n ln p <= _LNG_LAM_MAX); p = 2 sets the order _LNG_ORDER of g_n this
+# needs.  For Re s >= 1.05 the dropped terms, largest at n = 3, stay within
+# the 1e-9 budget that test_ln_G_line_truncation_budget checks.
 _LNG_P0 = 61
 _LNG_CUTOFF = {3: 2000, 4: 200}
+_LNG_LAM_MAX = 18 * math.log(10) / 1.05
+_LNG_ORDER = int(_LNG_LAM_MAX / math.log(2))  # 56
 
 # Below this height, where |F x^s/s| is largest and most oscillatory, the
 # contour is integrated on quarter-height panels instead of unit ones.
@@ -54,27 +55,23 @@ _REFINE_BELOW = 64.0
 def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
     """ln G at an array of points with Re s >= 1.05, double precision.
 
-    The local factors of the primes p <= _LNG_P0 are taken point by point.
-    The n-series over the prime tails, sum_n g_n sum_p p^{-ns}, is one
-    `zeta._dirichlet_grid` call (coefficients g_n, frequencies n ln p), so
-    the rows of a 2-D s must be shifts of one another; any other s is one
-    column.
+    One `zeta._dirichlet_grid` call sums the Euler form's g_n p^{-ns}
+    (coefficients g_n, frequencies n ln p) over the prime powers that
+    _LNG_LAM_MAX and _LNG_CUTOFF keep, so `ef` must reach order
+    _LNG_ORDER.  The rows of a 2-D s must be shifts of one another; any
+    other s is one column.
     """
     s = np.asarray(s, dtype=complex)
     if np.min(s.real) < 1.05:
         raise ValueError("ln_G_line needs Re s >= 1.05")
-    out = np.zeros(s.shape, dtype=complex)
-    for p in primes_up_to(_LNG_P0):
-        out += ln_G_p_np(ef, np.exp(-s * math.log(int(p))))
-    gn, lam = [], []  # g_n and n ln p over the tail primes of each n
-    for n, cutoff in _LNG_CUTOFF.items():
-        p = primes_up_to(cutoff)
-        lp = np.log(p[p > _LNG_P0].astype(float))
+    gn, lam = [], []
+    for n in range(3, _LNG_ORDER + 1):
+        lp = n * np.log(primes_up_to(_LNG_CUTOFF.get(n, _LNG_P0)).astype(float))
+        lp = lp[lp <= _LNG_LAM_MAX]
         gn.append(np.full(len(lp), float(ef.g_at(n))))
-        lam.append(n * lp)
+        lam.append(lp)
     gn, lam = np.concatenate(gn), np.concatenate(lam)
-    gn, lam = gn[gn != 0], lam[gn != 0]  # n with g_n = 0 add nothing
-    return out + _dirichlet_grid(gn, lam, _as_grid(s)).reshape(s.shape)
+    return _dirichlet_grid(gn, lam, _as_grid(s)).reshape(s.shape)
 
 
 def F_eval(fid: MultFnId, s) -> np.ndarray:
@@ -83,7 +80,7 @@ def F_eval(fid: MultFnId, s) -> np.ndarray:
     The rows of a 2-D s must be shifts of one another (see `zeta_many`);
     zeta(s), zeta(2s) and ln G all go through the shifted-row kernel.
     """
-    ef = euler_form(fid)
+    ef = euler_form(fid, _LNG_ORDER)
     s = np.asarray(s, dtype=complex)
     a, b = float(ef.a), float(ef.b)
     z1 = zeta_many(s).reshape(s.shape)
@@ -161,21 +158,28 @@ class PerronRun:
         }
 
 
-def _check_x(x):
+def _perron_setup(fid, x, Ts):
+    """(b, exact sum to x) after checking x and the sorted Ts.
+
+    x must be a half-integer >= 10.5, and 50 <= T <= T_MAX / 2, since
+    zeta(2s) is evaluated at height 2T.
+    """
     if (not math.isfinite(x) or x < 10.5
             or (2 * x) != int(2 * x) or int(2 * x) % 2 == 0):
         raise ValueError("x must be a half-integer N + 1/2 with x >= 10.5")
+    if Ts[0] < 50:
+        raise ValueError("need T >= 50")
+    if Ts[-1] > T_MAX / 2:
+        raise ValueError(
+            f"need T <= {T_MAX / 2:g}: zeta(2s) is evaluated at height 2T")
+    return 1 + 1 / math.log(x), float(interval_sum(fid, 0, int(x)).approx)
 
 
 def perron_truncated(fid: MultFnId, x: float, T: float) -> PerronRun:
     """One truncated-Perron evaluation; quadrature on unit-height panels,
     quarter-height below _REFINE_BELOW."""
-    _check_x(x)
-    if T < 50:
-        raise ValueError("need T >= 50")
-    b = 1 + 1 / math.log(x)
+    b, exact = _perron_setup(fid, x, [T])
     total = float(_perron_integrals(fid, x, b, [float(T)])[0])
-    exact = float(interval_sum(fid, 0, int(x)).approx)
     return PerronRun(
         fid=fid, x=x, b=b, T=T, integral=total,
         exact=exact, abs_err=abs(total - exact),
@@ -189,12 +193,8 @@ def perron_error_scan(fid: MultFnId, x: float, Ts) -> list:
     partials (`_perron_integrals`), so the whole scan costs one sweep to
     max(Ts).
     """
-    _check_x(x)
     Ts = sorted(float(T) for T in Ts)
-    if Ts[0] < 50:
-        raise ValueError("need T >= 50")
-    b = 1 + 1 / math.log(x)
-    exact = float(interval_sum(fid, 0, int(x)).approx)
+    b, exact = _perron_setup(fid, x, Ts)
     rows = []
     for T, integral in zip(Ts, _perron_integrals(fid, x, b, Ts)):
         err = abs(float(integral) - exact)

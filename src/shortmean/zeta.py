@@ -3,7 +3,7 @@
 Two evaluators share one algorithm:
 
   * `zeta_many` - numpy-vectorized double precision for critical-line and
-    vertical-line scans (t up to ~10^4).  Its argument is a grid whose rows
+    vertical-line scans (|t| up to T_MAX).  Its argument is a grid whose rows
     are complex shifts of one another, s[k] = s[0] + d_k: equal quadrature
     panels with the same nodes, or any 1-D array taken as one column.
     Every direct sum, here and in `perron.ln_G_line`, goes through one
@@ -32,6 +32,10 @@ from mpmath import mp, mpc, mpf
 from .sieve import _mobius_upto, _spf_upto
 
 _EM_K = 36  # Bernoulli correction depth (double precision)
+
+# zeta_many's accuracy is stated up to this height; the scans that size
+# their panel arrays by a height refuse heights above it.
+T_MAX = 2e4
 
 # B_{2k} for k = 1.._EM_K+1 as floats; |B_72|/72! etc. handled via ratios.
 def _bernoulli_floats(kmax):
@@ -114,7 +118,7 @@ def zeta_em(s):
 
 def zeta_many(s):
     """Vectorized zeta, shaped like s (at least 1-D).  Accuracy ~1e-12
-    relative for 1/2 <= Re s, |Im s| <= ~2e4.
+    relative for 1/2 <= Re s, |Im s| <= T_MAX.
 
     The rows of a 2-D s must be shifts of one another (ValueError
     otherwise); a 1-D s is one column.  Each block of _GRID_ROWS rows is one

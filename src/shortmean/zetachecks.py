@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .zeta import zeta_many
+from .zeta import T_MAX, zeta_many
 
 GROWTH_C = Fraction(64, 205)
 
@@ -50,10 +50,13 @@ def second_moment(T: float, panel_width=0.25) -> float:
 
     Each panel is estimated with 8-node and 16-node rules; panels whose two
     estimates disagree by more than _MOMENT_TOL relative are halved (up to
-    _MAX_HALVINGS rounds) and re-integrated.
+    _MAX_HALVINGS rounds) and re-integrated.  T is at most T_MAX, the
+    height up to which `zeta_many` states its accuracy.
     """
     if T < 10:
         raise ValueError("need T >= 10")
+    if T > T_MAX:
+        raise ValueError(f"need T <= {T_MAX:g}")
     npanel = int(math.ceil(T / panel_width))
     width = T / npanel
     lows = np.arange(npanel) * width

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shortmean.asymptotics import DENSITY_EXPONENT
-from shortmean.constants import _g_bound, ln_G_p_np
+from shortmean.constants import _g_bound
 from shortmean.eulerform import EulerForm
 from shortmean.functions import MultFnId, local_value
 from shortmean.sieve import primes_up_to
@@ -116,13 +116,25 @@ def g_closed_form(fid: MultFnId, n: int) -> Fraction:
 def G_product_direct(ef: EulerForm, s, limit=10**6):
     """Oracle: direct product prod_{p <= limit} G_p(s), double precision.
 
-    Returns (value, tail_bound); tail_bound covers the dropped p > limit.
+    G_p = F_p(X) (1-X)^a (1-X^2)^b at X = p^{-s}, with F_p - 1 summed from
+    the local rule by Horner up to the K where |X|^{K+1}/(1-|X|) < 1e-18
+    (every f(p^k) <= 1 bounds the rest), then taken through log1p.  It uses
+    neither `FnSpec.factor_hp` nor the g_n.  Returns (value, tail_bound);
+    tail_bound covers the dropped p > limit.
     """
     s = complex(s)
+    a, b = float(ef.a), float(ef.b)
     total = 0.0 + 0.0j
     for p_block in np.array_split(primes_up_to(limit), max(1, limit // 10**6)):
         X = np.exp(-s * np.log(p_block.astype(float)))
-        total += ln_G_p_np(ef, X).sum()
+        xmax = float(np.max(np.abs(X)))
+        K = 1
+        while xmax ** (K + 1) / (1 - xmax) >= 1e-18:
+            K += 1
+        acc = np.zeros_like(X)
+        for k in range(K, 0, -1):
+            acc = (acc + float(local_value(ef.fid, k))) * X
+        total += (np.log1p(acc) + a * np.log1p(-X) + b * np.log1p(-X * X)).sum()
     # |ln G_p| <~ gmax * p^{-3 sigma} / (1 - p^{-sigma})
     sigma = s.real
     gmax = float(_g_bound(ef))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from shortmean.constants import ln_G_hp, ln_G_p_np
+from shortmean.constants import ln_G_hp
 from shortmean.functions import ALL_FNS, MultFnId, spec
 from shortmean.perron import (
     _LNG_CUTOFF,
+    _LNG_ORDER,
     _LNG_P0,
     F_eval,
     fit_loglog_slope,
@@ -68,13 +69,16 @@ def test_ln_G_line_domain_guard():
     ef = euler_form(MultFnId.INV_TAU_SQ)
     with pytest.raises(ValueError):
         ln_G_line(ef, np.array([1.0 + 3j]))
+    # g_n up to n = 56 (from p = 2) are needed; the default order is 24
+    with pytest.raises(IndexError):
+        ln_G_line(ef, np.array([2.0 + 0j]))
 
 
 def test_ln_G_line_truncation_budget():
     # the dropped prime tail is largest at t = 0 (7.7e-10 for f3 and f4)
     s = np.array([1.05 + 0j, 1.05 + 7.3j])
     for fid in ALL_FNS:
-        ef = euler_form(fid)
+        ef = euler_form(fid, _LNG_ORDER)
         line = ln_G_line(ef, s)
         with mp.workdps(30):
             for si, got in zip(s, line):
@@ -82,26 +86,54 @@ def test_ln_G_line_truncation_budget():
                 assert abs(got - complex(ref)) <= 1e-9, (fid, si)
 
 
+def ln_G_powers():
+    """(n, p) for the prime powers p^n whose g_n p^{-ns} `ln_G_line` sums:
+    p <= _LNG_CUTOFF[n] for n = 3, 4, else p <= _LNG_P0, while
+    p^{-1.05 n} >= 1e-18."""
+    return [(n, int(p)) for n in range(3, _LNG_ORDER + 1)
+            for p in primes_up_to(_LNG_CUTOFF.get(n, _LNG_P0))
+            if float(p) ** (-1.05 * n) >= 1e-18]
+
+
 def ln_G_terms(ef, s):
-    """ln G as `ln_G_line` forms it, its prime tails summed term by term."""
-    out = sum(ln_G_p_np(ef, np.exp(-s * math.log(p))) for p in primes_up_to(_LNG_P0))
-    for n, cutoff in _LNG_CUTOFF.items():
-        p = primes_up_to(cutoff)
-        lam = n * np.log(p[p > _LNG_P0].astype(float))
-        out = out + float(ef.g_at(n)) * np.exp(-np.multiply.outer(s, lam)).sum(axis=-1)
-    return out
+    """ln G as `ln_G_line` forms it, summed term by term."""
+    n, p = np.array(ln_G_powers()).T
+    g = np.array([float(ef.g_at(k)) for k in n])
+    return np.exp(-np.multiply.outer(s, n * np.log(p))) @ g
+
+
+def test_ln_G_line_matches_mpmath_sum():
+    # the same truncated sum at 30 digits, 12 heights in each of three bands
+    # up to the top of the Perron contour
+    b = 1 + 1 / math.log(1000.5)
+    rng = np.random.default_rng(12)
+    t = np.concatenate([lo + np.sort(rng.uniform(0, 100, 12)) for lo in (0, 3000, 9900)])
+    s = b + 1j * t
+    efs = [euler_form(fid, _LNG_ORDER) for fid in ALL_FNS]
+    lines = [ln_G_line(ef, s) for ef in efs]
+    powers = ln_G_powers()
+    assert len(powers) == 570 and max(n for n, _ in powers) == _LNG_ORDER == 56
+    with mp.workdps(30):
+        lam = [n * mp.log(p) for n, p in powers]
+        gs = [[mp.mpf(ef.g_at(n).numerator) / ef.g_at(n).denominator
+               for n, _ in powers] for ef in efs]
+        for j, sj in enumerate(s):
+            terms = [mp.exp(-mp.mpc(sj) * lm) for lm in lam]
+            for ef, g, line in zip(efs, gs, lines):
+                ref = complex(mp.fdot(g, terms))
+                assert abs(line[j] - ref) <= 5e-14, (ef.fid, t[j])
 
 
 def test_ln_G_line_grid_matches_rows():
-    # on a panel grid the prime tails go through the shifted-row kernel;
-    # the reference sums them term by term, row by row
+    # on a panel grid ln G goes through the shifted-row kernel; the
+    # reference sums its terms one by one, row by row
     b = 1 + 1 / math.log(1000.5)
     x, _ = np.polynomial.legendre.leggauss(16)
     for lo in (0.0, 3090.0):
         t = (lo + np.arange(72) + 0.5)[:, None] + 0.5 * x[None, :]
         s = b + 1j * t
         for fid in ALL_FNS:
-            ef = euler_form(fid)
+            ef = euler_form(fid, _LNG_ORDER)
             grid = ln_G_line(ef, s)
             rows = np.array([ln_G_terms(ef, row) for row in s])
             assert np.max(np.abs(grid - rows)) <= 1e-12, (fid, lo)

@@ -120,6 +120,11 @@ def test_removed_flags_are_usage_errors(argv):
     ["perron", "--fn", "f3", "--x", "100.5", "--T", "200,"],  # one-value scan
     ["perron", "--fn", "f3", "--x", "100.5", "--T", ","],  # empty scans
     ["zeta-moment", "--T", ","],
+    # heights above zeta_many's stated range are refused before any panel
+    # array is sized
+    ["zeta-moment", "--T", "1e9"],
+    ["perron", "--fn", "f3", "--x", "100.5", "--T", "1e9"],
+    ["perron", "--fn", "f3", "--x", "100.5", "--T", "100,1e9"],
 ])
 def test_non_finite_values_and_short_scans_are_usage_errors(argv, capsys):
     rc, out = cap(argv)
