@@ -109,7 +109,7 @@ _PE_CACHE = {}
 
 
 def _pi_expansion(fid: MultFnId, N: int):
-    """One cached quadrature per fid covers every N up to 4."""
+    """One cached Taylor expansion per fid covers every N up to 4."""
     want = max(N, 4)
     have = _PE_CACHE.get(fid)
     if have is None or len(have.Pi) - 1 < want:

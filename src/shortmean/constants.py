@@ -12,19 +12,29 @@ and is carried along explicitly as an error budget.  That bound depends
 only on Re s, M and the g_n (`_ln_G_tail_bound`).
 
 Each P(n s) is the Mobius-log series sum_k mu(k)/k * log zeta(k n s).
-One ln G evaluation shares its log zeta(m s), m = k n, across all n, so
-a quadrature node computes each of them once: zeta(6s) serves both
-n = 3 and n = 6.
+One ln G evaluation shares its log zeta(m s), m = k n, across all n:
+zeta(6s) serves both n = 3 and n = 6.
 
 Pi(u) = G(1-u) * w(1-u)^a * zeta(2-2u)^b, and the expansion constants are
 
     K_n = (-1)^n Pi_n / Gamma(a - n) = sin(pi a)/pi * Gamma(n+1-a) * Pi_n,
 
-computed both ways as a consistency check.  Taylor coefficients Pi_n are
-extracted by trapezoid quadrature on a circle, not by repeated
-differentiation.  The node count is fixed in advance by `_aliasing_nodes`
-from the radius of analyticity of Pi, so that the aliasing error stays
-below the budget carried with the result.
+computed both ways as a consistency check.  `pi_function` evaluates Pi
+at one complex point (A0 uses it at u = 0).  The Taylor coefficients
+Pi_n come from `pi_taylor`, which builds ln Pi as a truncated series in
+u from real-argument data only and takes its exp:
+
+    a ln w(1-u),      w(1-u) = 1 - sum_k gamma_k u^{k+1} / k!
+                      (gamma_k the Stieltjes constants);
+    b ln zeta(2-2u),  from the derivatives zeta^{(j)}(2);
+    ln G_p(1-u), p <= P0, from sum_k f(p^k) p^{-k} e^{k u ln p} and the
+                      logs of 1 - X and 1 - X^2, X = p^{-1} e^{u ln p};
+    sum_{p > P0} ln G_p(1-u) = sum_m c_m ln zeta_{>P0}(m - m u),
+
+with c_m = sum_{n | m, n >= 3} g_n mu(m/n)/(m/n) and ln zeta_{>P0}(w) =
+ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  The series arithmetic is
+that of `powerseries`.  The cuts in k and m and the rounding make an
+error bound on each coefficient of ln Pi, carried through exp.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .eulerform import EulerForm, euler_form, local_series
-from .functions import MultFnId, spec
-from .powerseries import log_one_minus_x
+from .functions import MultFnId, local_value, spec
+from .powerseries import exp_coeffs, log_coeffs, log_one_minus_x, mul_coeffs
 from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
     _prime_zeta_kmax,
@@ -150,8 +160,7 @@ class PiExpansion:
     a: Fraction
     Pi: list       # mpf, Pi_0..Pi_N
     K: list        # mpf, K_n = (-1)^n Pi_n / Gamma(a-n)
-    radius: float
-    nodes: int
+    nodes: int     # real points at which zeta is expanded in u
     error_budget: float
 
     def to_json_dict(self):
@@ -160,7 +169,6 @@ class PiExpansion:
             "a": f"{self.a.numerator}/{self.a.denominator}",
             "Pi": [mp.nstr(v, 30) for v in self.Pi],
             "K": [mp.nstr(v, 30) for v in self.K],
-            "radius": self.radius,
             "nodes": self.nodes,
             "errorBudget": self.error_budget,
         }
@@ -176,71 +184,237 @@ def gamma_route_K(a: Fraction, n: int, Pi_n):
     return (-1) ** n * Pi_n / mp.gamma(_q(a) - n)
 
 
-# Pi(u) is analytic in |u| < 1/2 (the nearest singularity is the pole of
-# zeta(2-2u) at u = 1/2); using the conservative radius of analyticity
-# below keeps the aliasing bound honest with room to spare.
-_PI_ANALYTIC_RADIUS = 0.4
-_PI_SUP_BOUND = 4.0     # bound on |Pi| over that disc, for the aliasing terms
-_ALIAS_TARGET = 1e-21
+# ---------------------------------------------------------------------------
+# Taylor coefficients of Pi(u) by power-series arithmetic in u
+
+_GUARD_DPS = 10        # working digits above max(mp.dps, CONSTANTS_DPS)
+_ROUNDING_ULPS = 1000  # rounding bound, in units of mp.eps per unit of size
 
 
-def _aliasing_nodes(radius, N):
-    """Node count Q so that trapezoid aliasing | c_{n+Q} r^Q | stays
-    below _ALIAS_TARGET for every extracted coefficient n <= N."""
-    ratio = radius / _PI_ANALYTIC_RADIUS
-    amp = _PI_SUP_BOUND * _PI_ANALYTIC_RADIUS ** (-N)
-    Q = math.ceil(math.log(_ALIAS_TARGET / amp) / math.log(ratio)) + 2
-    return Q + (Q % 2)  # even, so conjugate pairing covers every node
+def _series_log(c):
+    """Taylor coefficients of ln c(u), for a real series with c[0] > 0."""
+    c0 = c[0]
+    return [mp.log(c0)] + log_coeffs([x / c0 for x in c])[1:]
 
 
-def pi_taylor(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
-    """Taylor coefficients Pi_0..Pi_N by circle quadrature at |u| = radius.
+def _series_exp(l):
+    """Taylor coefficients of exp l(u)."""
+    e0 = mp.exp(l[0])
+    return [e0 * x for x in exp_coeffs([l[0] * 0] + l[1:])]
 
-    The trapezoid rule on Q nodes recovers c_n up to aliasing terms
-    c_{n+jQ} r^{jQ}; Q is sized from the analyticity radius so that the
-    aliasing is below 1e-21 and carried in the error budget.  Pi has real
-    Taylor coefficients, so nodes come in conjugate pairs and only the
-    upper half circle is evaluated; the imaginary residue of the
-    quadrature is folded into the error budget as well.
+
+def _exp_taylor(scale, lam, N):
+    """scale * e^{lam u}: coefficients scale * lam^j / j!, j = 0..N."""
+    out = [mpf(scale)]
+    for j in range(1, N + 1):
+        out.append(out[-1] * lam / j)
+    return out
+
+
+def _one_minus(c):
+    return [1 - c[0]] + [-x for x in c[1:]]
+
+
+def _log_bound_exp_terms(log_base, log_lam, N):
+    """ln of base * lam^j / j! for j = 0..N (floats, no underflow)."""
+    return [log_base + j * log_lam - math.lgamma(j + 1) for j in range(N + 1)]
+
+
+def _cut(K, log_terms, ratio, log_tol):
+    """The first cut K (from the one given) whose dropped terms sum below tol.
+
+    The dropped terms K+1, K+2, ... start at exp(log_terms(K+1)[j]) and
+    fall by at least ratio(K) < 1 each, so they sum to at most the first
+    over 1 - ratio(K).  Returns K and that bound for each j.
+    """
+    while True:
+        q = ratio(K)
+        if q < 1:
+            logs = log_terms(K + 1)
+            if max(logs) - math.log(1 - q) <= log_tol:
+                return K, [math.exp(x) / (1 - q) for x in logs]
+        K += 1
+
+
+def _local_cut(p, N, log_tol):
+    """Order K of p's local series and the bound t_j on what it drops.
+
+    The dropped terms k > K of sum_k f(p^k) p^{-k} (k ln p)^j / j! have
+    |f(p^k)| <= 1 and ratio at most (1 + 1/(K+1))^N / p.
+    """
+    lnp = math.log(p)
+    return _cut(
+        max(1, math.ceil(-log_tol / lnp)),
+        lambda k: _log_bound_exp_terms(-k * lnp, math.log(k * lnp), N),
+        lambda K: (1 + 1 / (K + 1)) ** N / p,
+        log_tol,
+    )
+
+
+def _log_of_cut(lnF, t):
+    """Bound on the error of ln F(u) from errors t_j in the coefficients of F.
+
+    ln(F + T) - ln F = ln(1 + T/F); T/F is majorized by r = t * |1/F|,
+    and -ln(1 - r) by r_j + s^2/(1 - s) with s = sum_j r_j < 1.
+    """
+    inv = _series_exp([-x for x in lnF])
+    r = [float(x) for x in mul_coeffs([mpf(x) for x in t], [abs(x) for x in inv])]
+    s = sum(r)
+    if s >= 0.5:
+        raise ArithmeticError("local series cut too coarse for its log")
+    return [x + s * s / (1 - s) for x in r]
+
+
+def _large_prime_cut(ef, N, log_tol):
+    """Last m of sum_m c_m ln zeta_{>P0}(m - m u) and the bound on the rest.
+
+    The coefficient j of ln zeta_{>P0}(m - m u) = sum_{p > P0, k} p^{-km}
+    e^{k m u ln p} / k is at most sum_{n > P0} n^{-m} (m ln n)^j / j!,
+    which with n0 = P0 + 1 is at most n0^{-m} (m ln n0)^j / j! times
+    1 + n0 / (m - 1 - j / ln n0) (first term plus the integral).  With
+    |c_m| <= g (1 + ln m), g the bound on |g_n|, the terms m > M fall by
+    at least (1 + 1/(M+1))^{N+1} / n0 each.
+    """
+    n0 = DEFAULT_P0 + 1
+    ln_n0 = math.log(n0)
+    ln_g = math.log(float(_g_bound(ef)))
+
+    def log_terms(m):
+        base = ln_g + math.log(1 + math.log(m)) - m * ln_n0
+        return [
+            x + math.log(1 + n0 / (m - 1 - j / ln_n0))
+            for j, x in enumerate(_log_bound_exp_terms(base, math.log(m * ln_n0), N))
+        ]
+
+    return _cut(3, log_terms, lambda M: (1 + 1 / (M + 1)) ** (N + 1) / n0, log_tol)
+
+
+def _large_prime_coeffs(ef, M):
+    """c_m = sum_{n | m, n >= 3} g_n mu(m/n) / (m/n), m = 0..M (exact)."""
+    form = ef if ef.order >= M else euler_form(ef.fid, M)
+    mu = _mobius_upto(M).tolist()
+    c = [Fraction(0)] * (M + 1)
+    for n in range(3, M + 1):
+        gn = form.g_at(n)
+        if gn:
+            for m in range(n, M + 1, n):
+                c[m] += gn * mu[m // n] / (m // n)
+    return c
+
+
+def _zeta_taylor(m, N):
+    """zeta(m - m u), m >= 2: coefficients zeta^{(j)}(m) (-m)^j / j!."""
+    return [mp.zeta(m, 1, j) * (-m) ** j / mp.factorial(j) for j in range(N + 1)]
+
+
+class _LogSum:
+    """ln Pi(u) as a Taylor series, with the size of every term added.
+
+    The sizes bound the rounding: each term is good to a few units of
+    mp.eps of its own size.
+    """
+
+    def __init__(self, N):
+        self.value = [mpf(0)] * (N + 1)
+        self.size = [mpf(0)] * (N + 1)
+
+    def add(self, coef, series):
+        for j, x in enumerate(series):
+            x = coef * x
+            self.value[j] += x
+            self.size[j] += abs(x)
+
+
+def _add_small_primes(lnpi, ef, N, log_tol):
+    """Add ln G_p(1-u), p <= P0, to lnpi; return the bound of the k cuts.
+
+    ln G_p = ln F_p + a ln(1 - X) + b ln(1 - X^2) at X = p^{-1} e^{u ln p},
+    with F_p = sum_{k <= K} f(p^k) p^{-k} e^{k u ln p}.
+    """
+    a, b = _q(ef.a), _q(ef.b)
+    cuts = {p: _local_cut(p, N, log_tol) for p in primes_up_to(DEFAULT_P0).tolist()}
+    local = [_q(local_value(ef.fid, k)) for k in range(cuts[2][0] + 1)]
+    eps = [0.0] * (N + 1)
+    for p, (K, tail) in cuts.items():
+        lnp = mp.log(p)
+        F = [mpf(0)] * (N + 1)
+        p_k = mpf(1)
+        for k in range(K + 1):
+            for j, x in enumerate(_exp_taylor(local[k] * p_k, k * lnp, N)):
+                F[j] += x
+            p_k /= p
+        lnF = _series_log(F)
+        lnpi.add(1, lnF)
+        lnpi.add(a, _series_log(_one_minus(_exp_taylor(mpf(1) / p, lnp, N))))
+        lnpi.add(b, _series_log(_one_minus(_exp_taylor(mpf(1) / p**2, 2 * lnp, N))))
+        eps = [e + x for e, x in zip(eps, _log_of_cut(lnF, tail))]
+    return eps
+
+
+def _add_large_primes(lnpi, ef, N, log_tol):
+    """Add sum_{m <= M} c_m ln zeta_{>P0}(m - m u) to lnpi.
+
+    Returns the number of m with c_m != 0 and the bound of the m cut.
+    """
+    M, tail = _large_prime_cut(ef, N, log_tol)
+    c = _large_prime_coeffs(ef, M)
+    small = [(mpf(p), mp.log(p)) for p in primes_up_to(DEFAULT_P0).tolist()]
+    used = 0
+    for m in range(3, M + 1):
+        if not c[m]:
+            continue
+        used += 1
+        cm = _q(c[m])
+        lnpi.add(cm, _series_log(_zeta_taylor(m, N)))
+        for p, lnp in small:
+            lnpi.add(cm, _series_log(_one_minus(_exp_taylor(p**-m, m * lnp, N))))
+    return used, tail
+
+
+def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
+    """Taylor coefficients Pi_0..Pi_N from ln Pi(u) as a series in u.
+
+    Every piece of ln Pi is a real Taylor series at u = 0 (see the module
+    docstring); exp of their sum gives the Pi_n.  The error budget bounds
+    max_n |Pi_n| error: the dropped local terms k > K (carried through
+    their log), the dropped m > M, and rounding, each a bound eps_j on
+    coefficient j of ln Pi, carried through exp by the majorant
+    exp(|ln Pi|) (exp(eps) - 1).  The Pi_n carry _GUARD_DPS digits above
+    CONSTANTS_DPS or mp.dps, whichever is more; the K_n are rounded to
+    that precision.  `nodes` counts the real points at which zeta is
+    expanded: s = 1 (the Stieltjes constants), s = 2 and each m with
+    c_m != 0.
     """
     if not 0 <= N <= 8:
         raise ValueError("need 0 <= N <= 8")
-    if not 0 < radius <= 0.25:
-        raise ValueError("need 0 < radius <= 1/4")
-    Q = _aliasing_nodes(radius, N)
-    # extraction divides by radius^n, amplifying node-level rounding noise
-    # by up to radius^{-N}; pin the working precision so a low ambient
-    # mp.dps cannot silently degrade the coefficients
-    with mp.workdps(max(mp.dps, CONSTANTS_DPS)):
-        half = [
-            pi_function(ef, radius * mp.exp(2j * mp.pi * q / Q))
-            for q in range(Q // 2 + 1)
-        ]
-        vals = half + [mp.conj(half[Q - q]) for q in range(Q // 2 + 1, Q)]
-        cur = []
-        for n in range(N + 1):
-            acc = mp.fsum(
-                vals[q] * mp.exp(-2j * mp.pi * n * q / Q) for q in range(Q)
-            )
-            cur.append(acc / (Q * mpf(radius) ** n))
+    with mp.workdps(max(mp.dps, CONSTANTS_DPS)), mp.extradps(_GUARD_DPS):
+        log_tol = -mp.dps * math.log(10)
+        lnpi = _LogSum(N)
+        # a ln w(1-u), w(1-u) = 1 - sum_k gamma_k u^{k+1} / k!
+        w = [mpf(1)] + [-mp.stieltjes(k) / mp.factorial(k) for k in range(N)]
+        lnpi.add(_q(ef.a), _series_log(w))
+        lnpi.add(_q(ef.b), _series_log(_zeta_taylor(2, N)))
+        k_cut = _add_small_primes(lnpi, ef, N, log_tol)
+        used, m_cut = _add_large_primes(lnpi, ef, N, log_tol)
+        eps = [k + m + _ROUNDING_ULPS * mp.eps * z
+               for k, m, z in zip(k_cut, m_cut, lnpi.size)]
 
-        imag_resid = max(abs(c.imag) for c in cur)
-        alias = float(
-            _PI_SUP_BOUND
-            * _PI_ANALYTIC_RADIUS ** (-N)
-            * (radius / _PI_ANALYTIC_RADIUS) ** Q
-        )
-        lng_tail = _ln_G_tail_bound(ef, float(1 - radius))
-        Pi = [c.real for c in cur]
+        Pi = _series_exp(lnpi.value)
+        # |exp(l + d) - exp(l)| <= exp(|l|) (exp(|d|) - 1), coefficientwise
+        major = _series_exp([abs(x) for x in lnpi.value])
+        growth = _series_exp(eps)
+        growth[0] = mp.expm1(eps[0])
+        budget = [x + _ROUNDING_ULPS * mp.eps * y
+                  for x, y in zip(mul_coeffs(major, growth), major)]
+    with mp.workdps(max(mp.dps, CONSTANTS_DPS)):
         K = [gamma_route_K(ef.a, n, Pi[n]) for n in range(N + 1)]
     return PiExpansion(
         fid=ef.fid,
         a=ef.a,
         Pi=Pi,
         K=K,
-        radius=float(radius),
-        nodes=Q,
-        error_budget=float(alias + imag_resid + lng_tail),
+        nodes=2 + used,
+        error_budget=float(max(budget)),
     )
 
 

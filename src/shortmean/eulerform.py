@@ -78,10 +78,23 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_FORMS = {}  # (fid, order) -> EulerForm; the record is frozen, so shared
+
+
 def euler_form(fid, order: int = DEFAULT_ORDER) -> EulerForm:
-    """Derive (a, b, g_n) for a MultFnId, or for "inv_tau" (1/tau(n))."""
+    """Derive (a, b, g_n) for a MultFnId, or for "inv_tau" (1/tau(n)).
+
+    Each (fid, order) is derived once; later calls return the same record.
+    """
     if order < 3:
         raise ValueError("order must be >= 3")
+    key = (fid, order)
+    if key not in _FORMS:
+        _FORMS[key] = _derive(fid, order)
+    return _FORMS[key]
+
+
+def _derive(fid, order):
     lf = local_series(fid, order).log()
     a = lf[1]
     b = lf[2] - a / 2

@@ -11,10 +11,11 @@ depends only on the exponent k:
 The value at n = 1 is the empty product, 1.  `spec(fid)` holds the
 rule of each function together with the forms derived from it.  The one
 closed form is `factor_hp`, the local factor F_p at working precision:
-the constants pipeline evaluates it at every quadrature node, where it
-is faster than summing the local series to 30 digits.  Double precision
-needs none, since `perron.ln_G_line` sums ln G_p from the Euler form's
-g_n.
+`constants.ln_G_hp` evaluates it at each complex point, where it is
+faster than summing the local series to 30 digits.  The Taylor series
+of `constants.pi_taylor` sum the local series from `local`, and double
+precision needs no closed form, since `perron.ln_G_line` sums ln G_p
+from the Euler form's g_n.
 """
 
 from __future__ import annotations

@@ -3,6 +3,10 @@
 The formal variable stands for p^{-s}, so a series [c0, c1, c2, ...]
 represents c0 + c1 p^{-s} + c2 p^{-2s} + ...  All arithmetic is exact
 (fractions.Fraction) and closed under truncation at a fixed order.
+
+The product, log and exp recurrences are module functions on coefficient
+lists over any field, so the Taylor series in u of `constants.pi_taylor`
+and its error majorants (mpf coefficients) share them.
 """
 
 from __future__ import annotations
@@ -49,57 +53,72 @@ class PowerSeriesQ:
 
     def __mul__(self, other):
         self._check_same_order(other)
-        M = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (M + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(M + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return PowerSeriesQ(out)
+        return PowerSeriesQ(mul_coeffs(self.coeffs, other.coeffs))
 
     def log(self):
-        """Exact truncated logarithm; requires constant coefficient 1.
-
-        Uses the recurrence n*l_n = n*c_n - sum_{k=1}^{n-1} k*l_k*c_{n-k}
-        from (log P)' = P'/P.
-        """
+        """Exact truncated logarithm; requires constant coefficient 1."""
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant coefficient 1")
-        M = self.order
-        c = self.coeffs
-        l = [Fraction(0)] * (M + 1)
-        for n in range(1, M + 1):
-            acc = n * c[n]
-            for k in range(1, n):
-                acc -= k * l[k] * c[n - k]
-            l[n] = acc / n
-        return PowerSeriesQ(l)
+        return PowerSeriesQ(log_coeffs(self.coeffs))
 
     def exp(self):
         """Exact truncated exponential; requires constant coefficient 0."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires constant coefficient 0")
-        M = self.order
-        l = self.coeffs
-        e = [Fraction(0)] * (M + 1)
-        e[0] = Fraction(1)
-        # n*e_n = sum_{k=1}^{n} k*l_k*e_{n-k}
-        for n in range(1, M + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if l[k]:
-                    acc += k * l[k] * e[n - k]
-            e[n] = acc / n
-        return PowerSeriesQ(e)
+        return PowerSeriesQ(exp_coeffs(self.coeffs))
 
     def pow(self, r):
         """P^r for rational r, requires constant coefficient 1."""
         if self.coeffs[0] != 1:
             raise ValueError("pow requires constant coefficient 1")
         return self.log().scale(Fraction(r)).exp()
+
+
+def mul_coeffs(a, b):
+    """Coefficients of the product of two series of one order, truncated."""
+    M = len(a) - 1
+    out = [a[0] * 0] * (M + 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j in range(M + 1 - i):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def log_coeffs(c):
+    """Coefficients of log P for P with constant coefficient c[0] = 1.
+
+    Uses the recurrence n*l_n = n*c_n - sum_{k=1}^{n-1} k*l_k*c_{n-k}
+    from (log P)' = P'/P; l_0 = 0.
+    """
+    M = len(c) - 1
+    l = [c[0] * 0] * (M + 1)
+    for n in range(1, M + 1):
+        acc = n * c[n]
+        for k in range(1, n):
+            acc -= k * l[k] * c[n - k]
+        l[n] = acc / n
+    return l
+
+
+def exp_coeffs(l):
+    """Coefficients of exp L for L with constant coefficient l[0] = 0.
+
+    Uses n*e_n = sum_{k=1}^{n} k*l_k*e_{n-k} from (exp L)' = L' exp L.
+    """
+    M = len(l) - 1
+    zero = l[0] * 0
+    e = [zero] * (M + 1)
+    e[0] = zero + 1
+    for n in range(1, M + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if l[k]:
+                acc += k * l[k] * e[n - k]
+        e[n] = acc / n
+    return e
 
 
 def log_one_minus_x(order):

@@ -2,7 +2,8 @@
 
 Each oracle takes an independent route to a quantity the package
 computes (trial division, a direct prime sum or product, the sawtooth
-integral for zeta, closed forms), or is a check that only the tests run.
+integral for zeta, closed forms, a circle quadrature of Pi), or is a
+check that only the tests run.
 Test modules import them with `from oracles import ...`; pytest puts
 this directory on sys.path because `tests/` is not a package.
 """
@@ -17,7 +18,13 @@ import numpy as np
 from mpmath import mp, mpf
 
 from shortmean.asymptotics import DENSITY_EXPONENT
-from shortmean.constants import _g_bound
+from shortmean.constants import (
+    PiExpansion,
+    _g_bound,
+    _ln_G_tail_bound,
+    gamma_route_K,
+    pi_function,
+)
 from shortmean.eulerform import EulerForm
 from shortmean.functions import MultFnId, local_value
 from shortmean.sieve import primes_up_to
@@ -142,6 +149,77 @@ def G_product_direct(ef: EulerForm, s, limit=10**6):
         2 * gmax * limit ** (1 - 3 * sigma) / ((3 * sigma - 1) * math.log(limit))
     )
     return complex(np.exp(total)), float(tail)
+
+
+# ---------------------------------------------------------------------------
+# Taylor coefficients of Pi by circle quadrature (from constants)
+
+# Pi(u) is analytic in |u| < 1/2 (the nearest singularity is the pole of
+# zeta(2-2u) at u = 1/2); using the conservative radius of analyticity
+# below keeps the aliasing bound honest with room to spare.
+_PI_ANALYTIC_RADIUS = 0.4
+_PI_SUP_BOUND = 4.0     # bound on |Pi| over that disc, for the aliasing terms
+_ALIAS_TARGET = 1e-21
+
+
+def _aliasing_nodes(radius, N):
+    """Node count Q so that trapezoid aliasing | c_{n+Q} r^Q | stays
+    below _ALIAS_TARGET for every extracted coefficient n <= N."""
+    ratio = radius / _PI_ANALYTIC_RADIUS
+    amp = _PI_SUP_BOUND * _PI_ANALYTIC_RADIUS ** (-N)
+    Q = math.ceil(math.log(_ALIAS_TARGET / amp) / math.log(ratio)) + 2
+    return Q + (Q % 2)  # even, so conjugate pairing covers every node
+
+
+def pi_taylor_quadrature(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
+    """Oracle: Pi_0..Pi_N by circle quadrature of `pi_function` at |u| = radius.
+
+    The trapezoid rule on Q nodes recovers c_n up to aliasing terms
+    c_{n+jQ} r^{jQ}; Q is sized from the analyticity radius so that the
+    aliasing is below 1e-21 and carried in the error budget.  Pi has real
+    Taylor coefficients, so nodes come in conjugate pairs and only the
+    upper half circle is evaluated; the imaginary residue of the
+    quadrature is folded into the error budget as well, with the ln G
+    truncation bound at Re s = 1 - radius.
+    """
+    if not 0 <= N <= 8:
+        raise ValueError("need 0 <= N <= 8")
+    if not 0 < radius <= 0.25:
+        raise ValueError("need 0 < radius <= 1/4")
+    Q = _aliasing_nodes(radius, N)
+    # extraction divides by radius^n, amplifying node-level rounding noise
+    # by up to radius^{-N}; pin the working precision so a low ambient
+    # mp.dps cannot silently degrade the coefficients
+    with mp.workdps(max(mp.dps, 30)):
+        half = [
+            pi_function(ef, radius * mp.exp(2j * mp.pi * q / Q))
+            for q in range(Q // 2 + 1)
+        ]
+        vals = half + [mp.conj(half[Q - q]) for q in range(Q // 2 + 1, Q)]
+        cur = []
+        for n in range(N + 1):
+            acc = mp.fsum(
+                vals[q] * mp.exp(-2j * mp.pi * n * q / Q) for q in range(Q)
+            )
+            cur.append(acc / (Q * mpf(radius) ** n))
+
+        imag_resid = max(abs(c.imag) for c in cur)
+        alias = float(
+            _PI_SUP_BOUND
+            * _PI_ANALYTIC_RADIUS ** (-N)
+            * (radius / _PI_ANALYTIC_RADIUS) ** Q
+        )
+        lng_tail = _ln_G_tail_bound(ef, float(1 - radius))
+        Pi = [c.real for c in cur]
+        K = [gamma_route_K(ef.a, n, Pi[n]) for n in range(N + 1)]
+    return PiExpansion(
+        fid=ef.fid,
+        a=ef.a,
+        Pi=Pi,
+        K=K,
+        nodes=Q,
+        error_budget=float(alias + imag_resid + lng_tail),
+    )
 
 
 # ---------------------------------------------------------------------------

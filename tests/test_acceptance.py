@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import G_product_direct
+from oracles import G_product_direct, pi_taylor_quadrature
 from shortmean.asymptotics import admissible_alpha, compare, predict
 from shortmean.cli import run as cli_run
 from shortmean.constants import (
@@ -118,11 +118,14 @@ def test_criterion_3_constants_three_ways():
         analytic = complex(mp.e ** ln_val)
         product, tail = G_product_direct(ef, 1, limit=10**7)
         ok &= abs(analytic - product) <= 1e-6 + tail + ln_tail
-        # circle quadrature at two radii must agree far below target
-        pe8 = pi_taylor(ef, 4, radius=0.125)
-        pe16 = pi_taylor(ef, 4, radius=0.0625)
+        # circle quadrature at two radii must agree far below target, and
+        # the series engine must match it within the quadrature's budget
+        pe8 = pi_taylor_quadrature(ef, 4, radius=0.125)
+        pe16 = pi_taylor_quadrature(ef, 4, radius=0.0625)
+        engine = pi_taylor(ef, 4)
         for n in range(5):
             ok &= abs(pe8.Pi[n] - pe16.Pi[n]) <= 1e-18
+            ok &= abs(engine.Pi[n] - pe8.Pi[n]) <= pe8.error_budget + engine.error_budget
     a0_prod, a0_err = ramanujan_A0_product(limit=10**6)
     a0_ef = ramanujan_A0_eulerform(order=24)
     ok &= abs(a0_prod - a0_ef) <= 1e-8

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import G_product_direct
+from oracles import G_product_direct, pi_taylor_quadrature
 from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
@@ -69,9 +69,9 @@ def test_shared_n_series_matches_per_n_prime_zeta():
 
 
 def test_pi_taylor_call_counts(monkeypatch):
-    # each node computes every log zeta(m s) once and the tail bound needs
-    # no extra ln G; the per-n route made 4225 zeta_hp and 26 ln_G_hp calls
-    calls = {"zeta_hp": 0, "ln_G_hp": 0}
+    # the Taylor series come from real-argument data only: no point
+    # evaluation of Pi, ln G or the Euler-Maclaurin zeta
+    calls = {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -83,9 +83,39 @@ def test_pi_taylor_call_counts(monkeypatch):
     monkeypatch.setattr(zeta, "zeta_hp", zeta_hp)
     monkeypatch.setattr(constants, "zeta_hp", zeta_hp)
     monkeypatch.setattr(constants, "ln_G_hp", counted("ln_G_hp", constants.ln_G_hp))
+    monkeypatch.setattr(
+        constants, "pi_function", counted("pi_function", constants.pi_function))
     pi_taylor(euler_form(MultFnId.INV_TAU_SQ), 4)
-    assert calls["zeta_hp"] <= 2200
-    assert calls["ln_G_hp"] == 25
+    assert calls == {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0}
+
+
+def test_pi_taylor_budget_bounds_a_more_precise_run():
+    for fid in ALL_FNS:
+        ef = euler_form(fid)
+        pe = pi_taylor(ef, 4)
+        with mp.workdps(CONSTANTS_DPS + 20):
+            finer = pi_taylor(ef, 4)
+        assert pe.error_budget <= 1e-27, fid
+        for n in range(5):
+            assert abs(pe.Pi[n] - finer.Pi[n]) <= pe.error_budget, (fid, n)
+
+
+def test_pi_taylor_constant_term_matches_pi_function():
+    for fid in (*ALL_FNS, "inv_tau"):
+        ef = euler_form(fid)
+        assert abs(pi_taylor(ef, 0).Pi[0] - pi_function(ef, 0)) <= 1e-25, fid
+
+
+def test_pi_taylor_order_eight_f1():
+    ef = euler_form(MultFnId.INV_TAU_SQ)
+    pe = pi_taylor(ef, 8)
+    assert pe.error_budget <= 1e-27
+    low = pi_taylor(ef, 4)
+    for n in range(5):
+        assert abs(pe.Pi[n] - low.Pi[n]) <= pe.error_budget + low.error_budget, n
+    oracle = pi_taylor_quadrature(ef, 8)
+    for n in range(9):
+        assert abs(pe.Pi[n] - oracle.Pi[n]) <= pe.error_budget + oracle.error_budget, n
 
 
 def test_tail_bound_matches_ln_G_hp():
@@ -173,8 +203,9 @@ def test_leading_constants_positive():
 
 
 def test_two_radii_agree():
-    pe8 = pi_taylor(euler_form(MultFnId.INV_TAU_SQUARED), 4, radius=0.125)
-    pe16 = pi_taylor(euler_form(MultFnId.INV_TAU_SQUARED), 4, radius=0.0625)
+    ef = euler_form(MultFnId.INV_TAU_SQUARED)
+    pe8 = pi_taylor_quadrature(ef, 4, radius=0.125)
+    pe16 = pi_taylor_quadrature(ef, 4, radius=0.0625)
     for n in range(5):
         assert abs(pe8.Pi[n] - pe16.Pi[n]) < 1e-18
 

@@ -88,6 +88,13 @@ def test_g_bound_one_sixth_beyond_smallest_cases():
             assert abs(ef.g_at(n)) <= Fraction(1, 6), (fid, n)
 
 
+def test_euler_form_is_derived_once_per_order():
+    ef = euler_form(MultFnId.INV_TWO_OMEGA, 13)
+    assert euler_form(MultFnId.INV_TWO_OMEGA, 13) is ef
+    assert euler_form(MultFnId.INV_TWO_OMEGA, order=13) is ef
+    assert euler_form(MultFnId.INV_TWO_OMEGA, 14) is not ef
+
+
 def test_discrepancy_flags_present():
     assert any("19/244" in f for f in euler_form(MultFnId.INV_TAU_SQUARED).flags)
     assert any(
