@@ -11,15 +11,18 @@ log-log slope and the single bounding constant.
 
 Everything here runs in double precision: F is evaluated via the
 vectorized Euler-Maclaurin zeta plus a finite sum of the Euler form's
-ln G = sum_p sum_{n>=3} g_n p^{-ns}, whose truncation error (< 1e-9 on
-the contour) is far below the Perron remainders being measured.
+ln G = sum_p sum_{n>=3} g_n p^{-ns}, whose truncation error (below
+LNG_BUDGET = 1e-9 on the contour) is far below the Perron remainders
+being measured.
 
 The contour is cut into equal GL16 panels (quarter-height below
 _REFINE_BELOW, unit-height above), so the rows of the (panels, 16) node
 grid are shifts of one another by whole panel widths.  F_eval takes such
 a grid whole: zeta(s), zeta(2s) and ln G go through the shifted-row
-kernel `zeta._dirichlet_grid`, which shares its exponentials along each
-column.  The one extra panel up to an off-grid T is a grid of one row.
+kernel `zeta._dirichlet_grid`.  Every block of such a grid has the same
+row shifts, so the kernel computes their exponentials once per grid and
+adds only the columns that a taller block's longer sum needs.  The one
+extra panel up to an off-grid T is a grid of one row.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 # ln G on the contour: g_n p^{-ns} over p <= _LNG_CUTOFF[n] for n = 3, 4
 # and p <= _LNG_P0 for n >= 5, keeping the terms with p^{-1.05 n} >= 1e-18
 # (n ln p <= _LNG_LAM_MAX); p = 2 sets the order _LNG_ORDER of g_n this
-# needs.  For Re s >= 1.05 the dropped terms, largest at n = 3, stay within
-# the 1e-9 budget that test_ln_G_line_truncation_budget checks.
+# needs.  For Re s >= 1.05 the dropped terms, largest at n = 3 and t = 0,
+# stay within LNG_BUDGET of the full ln G.
+LNG_BUDGET = 1e-9
 _LNG_P0 = 61
 _LNG_CUTOFF = {3: 2000, 4: 200}
 _LNG_LAM_MAX = 18 * math.log(10) / 1.05
@@ -53,7 +57,8 @@ _REFINE_BELOW = 64.0
 
 
 def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
-    """ln G at an array of points with Re s >= 1.05, double precision.
+    """ln G at an array of points with Re s >= 1.05, double precision,
+    within LNG_BUDGET of the full ln G.
 
     One `zeta._dirichlet_grid` call sums the Euler form's g_n p^{-ns}
     (coefficients g_n, frequencies n ln p) over the prime powers that

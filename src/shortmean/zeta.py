@@ -10,7 +10,10 @@ Two evaluators share one algorithm:
     kernel, `_dirichlet_grid` (multi-evaluation after Odlyzko-Schoenhage):
     in each block of 64 rows a term is the product of its exponential at
     the block's first row and that of its row's shift, summed by one
-    matrix product.  `zeta_em` evaluates one such block;
+    matrix product.  The row-shift exponentials are computed once per
+    grid: each thread holds the last block's table, and a block with the
+    same shifts reuses it, computing only the columns a larger N adds.
+    `zeta_em` evaluates one such block;
   * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
     (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
     completely multiplicative, so mp.power runs only at primes and a
@@ -25,6 +28,7 @@ its P(k) from it as well.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -85,26 +89,80 @@ def _dirichlet_grid(coef, lam, s):
     """sum_n coef_n e^{-s lam_n} on a complex grid s of shape (K, J).
 
     The rows of s must be complex shifts of one another, s[k] = s[0] + d_k
-    (equal-width panels with the same nodes, or a single column), else
+    (equal-width panels with the same nodes, or a single column): every
+    column must agree with column 0 to tol = 8 eps max(1, max|s|), else
     ValueError.  Each block of _GRID_ROWS rows takes coef e^{-s lam} at its
-    first row (J x N) and e^{-d lam} at its row shifts (_GRID_ROWS x N),
+    first row (J x N) and e^{-d lam} at its row shifts d (_GRID_ROWS x N),
     and one complex matrix product gives every point; each term is the
-    product of two fresh exponentials, so no long recurrence accumulates
+    product of two exponentials, so no long recurrence accumulates
     rounding.  Those two factors have moduli e^{-Re s[0] lam} and
     e^{-Re d lam}, so real parts within a block that differ by about
     700 / max(lam) or more would under- and overflow.
+
+    The shift table is computed once per grid, not once per block: each
+    thread holds the shifts, lam and table of its last block
+    (`_row_shifts`).  On the equal-width panel grids of the Perron and
+    second-moment scans every block has the same shifts, so a block whose
+    d agrees with a prefix of the held shifts to tol, and whose lam agrees
+    with the held lam on their common length, takes the held table.  When
+    its lam is longer (N grows with height) only the new columns are
+    computed, and the table's capacity doubles, up to _HELD_COLS columns,
+    so a sweep of rising N copies it a few times.  Any other block builds
+    a fresh table, which replaces the held one.  A reused shift is the
+    held d_k, not this block's s[a+k, 0] - s[a, 0]; both are differences
+    of node heights that each carry a rounding of about an ulp of t, so
+    reuse moves a node by about an ulp of t: the rounding the node already
+    carries, and within the tol by which any column may stray from column 0.
     """
     s = np.asarray(s, dtype=complex)
+    tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))
     dev = (s - s[:, :1]) - (s[0] - s[0, 0])
-    if np.any(np.abs(dev) > 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))):
+    if np.any(np.abs(dev) > tol):
         raise ValueError("grid rows are not shifts of one another")
     out = np.empty(s.shape, dtype=complex)
     for a in range(0, len(s), _GRID_ROWS):
         rows = s[a : a + _GRID_ROWS]
         base = coef * np.exp(-np.multiply.outer(rows[0], lam))
-        shift = np.exp(-np.multiply.outer(rows[:, 0] - rows[0, 0], lam))
+        shift = _row_shifts(rows[:, 0] - rows[0, 0], lam, tol)
         out[a : a + _GRID_ROWS] = shift @ base.T
     return out
+
+
+# Widest shift table a thread holds (N at height T_MAX): 64 x 5008 complex
+# entries, about 5 MB.
+_HELD_COLS = _em_N(T_MAX)
+_held = threading.local()  # .shifts = (d, lam, table) of the last block
+
+
+def _fresh_shifts(d, lam):
+    """e^{-d_k lam_n}, shape (len(d), len(lam)), for a table built anew."""
+    return np.exp(-np.multiply.outer(d, lam))
+
+
+def _row_shifts(d, lam, tol):
+    """e^{-d_k lam_n} for one block's row shifts d, shape (len(d), len(lam)),
+    from this thread's held table where the rule in `_dirichlet_grid`
+    allows; a lam wider than _HELD_COLS is neither held nor served."""
+    N = len(lam)
+    held = getattr(_held, "shifts", None)
+    if held is not None and N <= _HELD_COLS:
+        hd, hlam, table = held
+        n = min(N, len(hlam))
+        if (len(d) <= len(hd) and np.all(np.abs(d - hd[: len(d)]) <= tol)
+                and np.array_equal(lam[:n], hlam[:n])):
+            if N > n:
+                if N > table.shape[1]:
+                    cols = max(N, min(2 * table.shape[1], _HELD_COLS))
+                    grown = np.empty((len(hd), cols), dtype=complex)
+                    grown[:, :n] = table[:, :n]
+                    table = grown
+                table[:, n:N] = np.exp(-np.multiply.outer(hd, lam[n:]))
+                _held.shifts = (hd, lam, table)
+            return table[: len(d), :N]
+    table = _fresh_shifts(d, lam)
+    if N <= _HELD_COLS:
+        _held.shifts = (d, lam, table)
+    return table
 
 
 def zeta_em(s):

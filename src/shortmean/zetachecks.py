@@ -9,8 +9,10 @@ sums all go through the shifted-row kernel `zeta._dirichlet_grid`;
 quadrature is Gauss-Legendre on fixed panels with adaptive halving when
 two estimates of a panel disagree by more than 1e-4 relative.  Every
 round of the second moment has panels of one width, so its nodes form
-one grid whose rows are height shifts; the arc samples go in as one
-column.
+one grid whose rows are height shifts; the kernel computes those shifts'
+exponentials once and reuses them from block to block, and from the
+8-node grid to the 16-node grid of the same panels.  The arc samples go
+in as one column.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each oracle takes an independent route to a quantity the package
 computes (trial division, a direct prime sum or product, the sawtooth
 integral for zeta, closed forms, a circle quadrature of Pi), or is a
-check that only the tests run.
+check or helper that only the tests run.
 Test modules import them with `from oracles import ...`; pytest puts
 this directory on sys.path because `tests/` is not a package.
 """
@@ -11,6 +11,7 @@ this directory on sys.path because `tests/` is not a package.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from shortmean.constants import (
 from shortmean.eulerform import EulerForm
 from shortmean.functions import MultFnId, local_value
 from shortmean.sieve import primes_up_to
-from shortmean.zeta import zeta_many
+from shortmean.zeta import _em_N, _em_tail, zeta_many
 from shortmean.zetachecks import GROWTH_C
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,23 @@ def pi_taylor_quadrature(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
 def zeta(s):
     """Single-point double-precision zeta (Re s > 0, s != 1)."""
     return complex(zeta_many(np.array([s]))[0])
+
+
+def zeta_terms(s):
+    """zeta by Euler-Maclaurin with the truncation N of `zeta_many` for
+    max|Im s|, its direct part summed term by term from fresh exponentials
+    rather than through the shifted-row kernel."""
+    N = _em_N(float(np.max(np.abs(s.imag))))
+    direct = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N + 1.0)))).sum(axis=-1)
+    n_pow, boundary, corr = _em_tail(s, N)
+    return direct + n_pow * N / (s - 1.0) + boundary + corr
+
+
+def on_fresh_thread(fn, *args):
+    """fn(*args) on a thread of its own, so it starts with none of the
+    per-thread state (such as the kernel's held shift table) of the caller."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
 
 
 def prime_zeta_direct(s, limit=10**7):

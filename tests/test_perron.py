@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oracles import on_fresh_thread, zeta_terms
+from shortmean import zeta
 from shortmean.constants import ln_G_hp
 from shortmean.functions import ALL_FNS, MultFnId, spec
 from shortmean.perron import (
     _LNG_CUTOFF,
     _LNG_ORDER,
     _LNG_P0,
+    _REFINE_BELOW,
+    LNG_BUDGET,
     F_eval,
     fit_loglog_slope,
     ln_G_line,
@@ -83,7 +87,7 @@ def test_ln_G_line_truncation_budget():
         with mp.workdps(30):
             for si, got in zip(s, line):
                 ref, _ = ln_G_hp(ef, mp.mpc(si))
-                assert abs(got - complex(ref)) <= 1e-9, (fid, si)
+                assert abs(got - complex(ref)) <= LNG_BUDGET, (fid, si)
 
 
 def ln_G_powers():
@@ -124,14 +128,60 @@ def test_ln_G_line_matches_mpmath_sum():
                 assert abs(line[j] - ref) <= 5e-14, (ef.fid, t[j])
 
 
+def _unit_panels(lo, count):
+    """GL16 nodes of `count` unit panels from height lo, a grid of shifts."""
+    x, _ = np.polynomial.legendre.leggauss(16)
+    return (lo + np.arange(count) + 0.5)[:, None] + 0.5 * x[None, :]
+
+
+def test_kernel_reuse_across_F_eval_sums():
+    # F_eval's order on one grid: zeta(s), zeta(2s), then ln G with other
+    # frequencies, then zeta(s) again; each matches its term-by-term sum
+    s = 1 + 1 / math.log(1000.5) + 1j * _unit_panels(3090.0, 72)
+    ef = euler_form(MultFnId.INV_TWO_OMEGA, _LNG_ORDER)
+    z1, z2, lng, again = on_fresh_thread(
+        lambda: (zeta.zeta_many(s), zeta.zeta_many(2 * s), ln_G_line(ef, s),
+                 zeta.zeta_many(s)))
+    for got, pts in ((z1, s), (z2, 2 * s), (again, s)):
+        ref = np.array([zeta_terms(row) for row in pts])
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+    rows = np.array([ln_G_terms(ef, row) for row in s])
+    assert np.max(np.abs(lng - rows)) <= 1e-12
+
+
+def test_F_eval_builds_each_shift_table_once(monkeypatch):
+    # 50 blocks of unit panels, as on the Perron contour above
+    # _REFINE_BELOW: zeta(s), zeta(2s) and ln G each build one table of
+    # row-shift exponentials and reuse it, and the held table stays within
+    # _GRID_ROWS x _em_N(T_MAX) complex entries
+    builds, held = [], []
+    fresh, row_shifts = zeta._fresh_shifts, zeta._row_shifts
+
+    def counting(d, lam):
+        builds.append(len(lam))
+        return fresh(d, lam)
+
+    def watching(d, lam, tol):
+        out = row_shifts(d, lam, tol)
+        held.append(zeta._held.shifts[2].size)
+        return out
+
+    monkeypatch.setattr(zeta, "_fresh_shifts", counting)
+    monkeypatch.setattr(zeta, "_row_shifts", watching)
+    s = 1 + 1 / math.log(1000.5) + 1j * _unit_panels(_REFINE_BELOW, 50 * 64)
+    values = on_fresh_thread(F_eval, MultFnId.INV_TWO_OMEGA, s)
+    assert np.all(np.isfinite(values))
+    assert len(held) == 3 * 50
+    assert len(builds) <= 3
+    assert max(held) <= zeta._GRID_ROWS * zeta._em_N(zeta.T_MAX)
+
+
 def test_ln_G_line_grid_matches_rows():
     # on a panel grid ln G goes through the shifted-row kernel; the
     # reference sums its terms one by one, row by row
     b = 1 + 1 / math.log(1000.5)
-    x, _ = np.polynomial.legendre.leggauss(16)
     for lo in (0.0, 3090.0):
-        t = (lo + np.arange(72) + 0.5)[:, None] + 0.5 * x[None, :]
-        s = b + 1j * t
+        s = b + 1j * _unit_panels(lo, 72)
         for fid in ALL_FNS:
             ef = euler_form(fid, _LNG_ORDER)
             grid = ln_G_line(ef, s)

@@ -4,6 +4,9 @@ critical-line zero (oracles)."""
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,14 +15,15 @@ from mpmath import mp
 from oracles import (
     first_zero,
     hardy_z,
+    on_fresh_thread,
     prime_zeta_direct,
     zeta,
     zeta_integral_rep,
+    zeta_terms,
 )
+from shortmean import zeta as zeta_mod
 from shortmean.zeta import (
     _dirichlet_powers,
-    _em_N,
-    _em_tail,
     prime_zeta_hp,
     w_hp,
     zeta_hp,
@@ -68,19 +72,11 @@ def _grids():
             yield 0.5 + 1j * t, f"GL{nodes} k={k}"
 
 
-def _zeta_terms(s):
-    """zeta by Euler-Maclaurin, its direct part summed term by term."""
-    N = _em_N(float(np.max(np.abs(s.imag))))
-    direct = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N + 1.0)))).sum(axis=-1)
-    n_pow, boundary, corr = _em_tail(s, N)
-    return direct + n_pow * N / (s - 1.0) + boundary + corr
-
-
 def test_zeta_grid_matches_pointwise_path():
     for s, label in _grids():
         grid = zeta_many(s)
         assert grid.shape == s.shape
-        flat = np.array([_zeta_terms(row) for row in s])
+        flat = np.array([zeta_terms(row) for row in s])
         tol = 1e-11 * np.maximum(1.0, np.abs(flat))
         assert np.all(np.abs(grid - flat) <= tol), label
 
@@ -112,6 +108,105 @@ def test_zeta_grid_rows_may_shift_in_real_part():
             [[complex(mp.zeta(mp.mpc(z.real, z.imag))) for z in row] for row in s]
         )
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+def _assert_pointwise(s, got, label):
+    flat = np.array([zeta_terms(row) for row in s])
+    tol = 1e-11 * np.maximum(1.0, np.abs(flat))
+    assert np.all(np.abs(got - flat) <= tol), label
+
+
+def _reuse_sequence():
+    """(s, label) in an order that makes the kernel reuse, extend and
+    replace its held table of row-shift exponentials."""
+    b = 1 + 1 / math.log(1000.5)
+    for lo in (0.0, 3062.0, 9900.0):  # a table from low t serves high t
+        yield b + 1j * _panel_grid(lo, 100, 1.0, 16), f"unit t>={lo}"
+    yield b + 1j * _panel_grid(3062.0, 100, 0.5, 16), "width 0.5 after 1"
+    # as after a second-moment halving round: half panels at uneven lows
+    rng = np.random.default_rng(5)
+    lows = np.repeat(0.25 * np.sort(rng.choice(8000, 80, replace=False)), 2)
+    lows[1::2] += 0.125
+    x, _ = np.polynomial.legendre.leggauss(8)
+    yield 0.5 + 1j * (lows[:, None] + (x[None, :] + 1.0) * 0.0625), "uneven"
+
+
+def _count_fresh_builds(monkeypatch):
+    """A list that grows by one each time the kernel builds a shift table
+    anew rather than taking or extending the held one."""
+    builds, fresh = [], zeta_mod._fresh_shifts
+
+    def counting(d, lam):
+        builds.append(len(lam))
+        return fresh(d, lam)
+
+    monkeypatch.setattr(zeta_mod, "_fresh_shifts", counting)
+    return builds
+
+
+def test_zeta_grid_reuse_matches_fresh_exponentials(monkeypatch):
+    builds = _count_fresh_builds(monkeypatch)
+
+    def run():
+        done = []
+        for s, label in _reuse_sequence():
+            done.append((s, zeta_many(s), label, len(builds)))
+        return done
+
+    done = on_fresh_thread(run)
+    for s, got, label, _ in done:
+        _assert_pointwise(s, got, label)
+    # the three unit windows (six blocks) share one table; the half-width
+    # grid builds one; every uneven block builds its own
+    assert [n for *_, n in done] == [1, 1, 1, 2, 2 + math.ceil(160 / 64)]
+
+
+def test_held_shift_table_is_capped(monkeypatch):
+    # one block of unit panels climbing to T_MAX: one table, grown in place
+    # or by doubling, never wider than N at T_MAX
+    builds, sizes = _count_fresh_builds(monkeypatch), []
+    heights = [0.0] + [zeta_mod.T_MAX * 2.0**-k - 64 for k in range(8, -1, -1)]
+
+    def climb():
+        for lo in heights:
+            s = 1 + 1 / math.log(1000.5) + 1j * _panel_grid(lo, 64, 1.0, 16)
+            _assert_pointwise(s, zeta_many(s), lo)
+            sizes.append(zeta_mod._held.shifts[2].shape)
+
+    on_fresh_thread(climb)
+    assert len(builds) == 1
+    cap = zeta_mod._em_N(zeta_mod.T_MAX)
+    assert all(rows == zeta_mod._GRID_ROWS and cols <= cap for rows, cols in sizes)
+    assert sizes[-1][1] == cap
+
+
+def test_zeta_grid_reuse_is_per_thread():
+    # grids of different widths swept on concurrent threads (more threads
+    # than cores, switching often) give the serial result bit for bit
+    b = 1 + 1 / math.log(1000.5)
+    grids = {w: [b + 1j * _panel_grid(lo, 100, w, 16)
+                 for lo in (0.0, 1000.0, 3062.0, 9900.0)]
+             for w in (1.0, 0.5, 0.25)}
+    start = threading.Barrier(len(grids), timeout=60)
+
+    def sweep(w, wait=False):
+        if wait:
+            start.wait()
+        return [zeta_many(s) for s in grids[w]]
+
+    serial = {w: on_fresh_thread(sweep, w) for w in grids}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(grids)) as pool:
+            futures = {w: pool.submit(sweep, w, True) for w in grids}
+            together = {w: f.result(timeout=120) for w, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for w, sweeps in grids.items():
+        for s, one, two in zip(sweeps, serial[w], together[w]):
+            assert np.array_equal(one, two), w
+            _assert_pointwise(s, two, w)
 
 
 def test_conjugate_symmetry():
