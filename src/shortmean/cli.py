@@ -134,7 +134,7 @@ def _cmd_sum(args):
     fids = _fids(args.fn)
     if args.h < 1:
         raise UsageError("need h >= 1")
-    sums = interval_sums_all(args.x, args.h, threads=args.threads)
+    sums = interval_sums_all(args.x, args.h, threads=args.threads, fids=fids)
     payload = {
         "report": "sum",
         "x": args.x,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
 from mpmath import mp
 
 
@@ -43,6 +42,10 @@ class MultFnId(enum.Enum):
 
 ALL_FNS = tuple(MultFnId)
 
+# the per-integer statistics of `sieve._segment_stats`, in its order:
+# tau(n^2), tau(n), omega(n), Omega(n)
+STATISTICS = ("tau_n2", "tau", "omega", "big_omega")
+
 
 @dataclass(frozen=True)
 class FnSpec:
@@ -55,7 +58,8 @@ class FnSpec:
 
     local: Callable        # k -> f(p^k) as an exact rational, for k >= 1
     factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k, mpmath scalar
-    denominator: Callable  # (tau_n2, tau, omega, big_omega) -> 1/f(n) arrays
+    statistic: str         # the entry of STATISTICS that 1/f(n) is a function of
+    from_statistic: Callable  # that statistic's value -> 1/f(n), int or int64 array
     flag: str | None = None  # where a derived exponent disagrees with a display
 
 
@@ -68,34 +72,35 @@ _SPECS = {
     MultFnId.INV_TAU_SQ: FnSpec(
         local=lambda k: Fraction(1, 2 * k + 1),
         factor_hp=_f1_hp,
-        denominator=lambda tau_n2, tau, omega, big_omega: tau_n2,
+        statistic="tau_n2",
+        from_statistic=lambda t: t,
     ),
     MultFnId.INV_TAU_SQUARED: FnSpec(
         local=lambda k: Fraction(1, (k + 1) ** 2),
         factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
-        denominator=lambda tau_n2, tau, omega, big_omega: tau**2,
+        statistic="tau",
+        from_statistic=lambda t: t * t,
         flag="zeta2s-exponent: derived -13/288 (display prints 19/244)",
     ),
     MultFnId.INV_TWO_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2),
         factor_hp=lambda X: (1 - X / 2) / (1 - X),
-        denominator=lambda tau_n2, tau, omega, big_omega: (
-            np.int64(1) << omega.astype(np.int64)
-        ),
+        statistic="omega",
+        from_statistic=lambda w: 2**w,
         flag="zeta2s-exponent-sign: derived +1/8 (display prints -1/8)",
     ),
     MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2**k),
         factor_hp=lambda X: 1 / (1 - X / 2),
-        denominator=lambda tau_n2, tau, omega, big_omega: (
-            np.int64(1) << big_omega.astype(np.int64)
-        ),
+        statistic="big_omega",
+        from_statistic=lambda w: 2**w,
     ),
     # 1/tau(n), for the Ramanujan constant cross-check only
     "inv_tau": FnSpec(
         local=lambda k: Fraction(1, k + 1),
         factor_hp=lambda X: -mp.log(1 - X) / X,  # sum X^k/(k+1)
-        denominator=lambda tau_n2, tau, omega, big_omega: tau,
+        statistic="tau",
+        from_statistic=lambda t: t,
     ),
 }
 

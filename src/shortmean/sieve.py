@@ -9,9 +9,15 @@ segment it tracks the four integer statistics
 
     tau(n^2), tau(n), omega(n), Omega(n)
 
-with two strided updates per base prime, plus strided updates on the
-multiples of p^2 for the prime powers (see _segment_stats), then
-aggregates counts of the (small, repetitive) statistic values.  The exact
+(see _segment_stats).  Base primes below SCATTER_MIN_PRIME make two
+strided updates each.  The larger ones have few multiples in a segment,
+so their hits are scattered in batches, each of at most about a quarter
+of the segment's width, which keeps a batch's index arrays smaller than
+one of the segment's own arrays.  The multiples of p^2 get strided
+updates for the prime powers.  Each function's denominator 1/f(n) is a
+function of one statistic (`FnSpec.statistic`), so each statistic's
+(small, repetitive) values are counted once per segment and mapped to
+the denominators of the requested functions only.  The exact
 rational sum is a short sum of count/value terms, so it stays cheap even
 over 10^8 integers.
 """
@@ -26,9 +32,10 @@ from math import isqrt
 
 import numpy as np
 
-from .functions import MultFnId, spec
+from .functions import ALL_FNS, STATISTICS, MultFnId, spec
 
 SEGMENT_WIDTH = 1 << 20
+SCATTER_MIN_PRIME = 512              # base primes from here on are scattered
 BASE_PRIME_BUDGET = 1 << 26          # largest base-prime table we will build
 SIEVE_MAX_POINT = BASE_PRIME_BUDGET**2  # so endpoints stay within 2^52
 
@@ -90,6 +97,7 @@ def _mobius_upto(kmax):
 
 # 3^k for k <= omega(n); omega(n) <= 15 for every n < 2^63
 _POW3 = 3 ** np.arange(16, dtype=np.int64)
+_ONE16 = np.int16(1)  # omega's dtype, for np.add.at's fast path
 
 
 def _segment_stats(lo, hi, base_primes):
@@ -100,17 +108,22 @@ def _segment_stats(lo, hi, base_primes):
     made of them, so n has one more prime factor, above sqrt(hi),
     exactly when found != n.
 
-    Each base prime with a multiple here makes two strided updates,
-    omega[s::p] += 1 and found[s::p] *= p (a single hit for p at or
-    above the width).  Its levels p^e, e >= 2, touch only the multiples
-    of p^2: they multiply found by p, count the primes with e >= 2
-    (``sq``) and Omega - omega (``extra``), and build the small-int
-    corrections prod(e+1) and prod(2e+1) over those primes.  With
-    k = omega - sq primes dividing n exactly once, tau = 2^k * prod(e+1)
-    and tau(n^2) = 3^k * prod(2e+1).
+    Each base prime below SCATTER_MIN_PRIME makes two strided updates,
+    omega[s::p] += 1 and found[s::p] *= p.  A larger prime has at most
+    width/SCATTER_MIN_PRIME + 1 multiples here, so one Python step per
+    prime would cost more than its few hits: `_scatter_primes` applies
+    the hits of all of them at once.  The levels p^e, e >= 2, of every
+    prime whose square has a multiple here touch only the multiples of
+    p^2: they multiply found by p, count the primes with e >= 2 (``sq``)
+    and Omega - omega (``extra``), and build the small-int corrections
+    prod(e+1) and prod(2e+1) over those primes.  With k = omega - sq
+    primes dividing n exactly once, tau = 2^k * prod(e+1) and
+    tau(n^2) = 3^k * prod(2e+1).
     """
     width = hi - lo + 1
     top = np.searchsorted(base_primes, isqrt(hi), side="right")
+    split = np.searchsorted(base_primes[:top], SCATTER_MIN_PRIME)
+    small = base_primes[:split].tolist()
     found = np.ones(width, dtype=np.int64)
     omega = np.zeros(width, dtype=np.int16)
     sq = np.zeros(width, dtype=np.int16)
@@ -118,12 +131,14 @@ def _segment_stats(lo, hi, base_primes):
     c_tau = np.ones(width, dtype=np.int32)
     c_tau2 = np.ones(width, dtype=np.int32)
 
-    for p in base_primes[:top].tolist():
+    for p in small:
         start = (-lo) % p
-        if start >= width:  # only a prime above the width can miss
-            continue
-        omega[start::p] += 1
-        found[start::p] *= p
+        if start < width:  # only a prime above the width can miss
+            omega[start::p] += 1
+            found[start::p] *= p
+    squared = _scatter_primes(lo, base_primes[split:top], omega, found)
+
+    for p in small + squared:
         q, e = p * p, 2
         while q <= hi:
             start = (-lo) % q
@@ -152,11 +167,65 @@ def _segment_stats(lo, hi, base_primes):
     return tau_n2, tau, omega, big_omega
 
 
-def _denominator_counts(stats, fid):
-    """Counter mapping f(n) = 1/d to the number of n with that denominator."""
-    vals = spec(fid).denominator(*stats)
-    uniq, counts = np.unique(vals, return_counts=True)
-    return Counter(dict(zip((int(v) for v in uniq), (int(c) for c in counts))))
+def _scatter_primes(lo, primes, omega, found):
+    """omega += 1 and found *= p at each multiple of each p in `primes`.
+
+    omega and found cover n = lo, lo+1, ...; `primes` is int64.  The
+    hits of a run of consecutive primes go into one flat index array,
+    which `np.add.at` adds to omega and `np.multiply.at` multiplies into
+    found.  A run holds at most about width/4 hits, so its temporaries
+    (24 bytes a hit) stay below found's 8 bytes an integer.  Each
+    ufunc.at gets values of its array's own dtype, the primes as int64
+    and 1 as int16: otherwise it casts element by element, and with
+    2^18 indices took about 25 times as long (int32 primes into found,
+    or a Python 1 into omega).  Returns, as a list, the primes whose
+    square has a multiple here.
+    """
+    width = omega.size
+    start = (-lo) % primes
+    hits = (width - 1 - start) // primes + 1  # 0 for a prime with no multiple
+    first = np.cumsum(hits) - hits  # index of each prime's first hit
+    cuts = np.searchsorted(first, np.arange(0, hits.sum(), width // 4 + 1)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [primes.size]):
+        # hit j of the run, made by p, is at start_p + (j - first_p) * p
+        step = np.repeat(primes[a:b], hits[a:b])
+        idx = np.arange(step.size, dtype=np.int64)
+        idx *= step
+        idx += np.repeat(start[a:b] - (first[a:b] - first[a]) * primes[a:b], hits[a:b])
+        np.add.at(omega, idx, _ONE16)
+        np.multiply.at(found, idx, step)
+    return primes[(-lo) % (primes * primes) < width].tolist()
+
+
+def _value_counts(vals):
+    """(value, count) pairs of the distinct values of a non-negative int array."""
+    if vals.max() < vals.size:  # so bincount's array is no longer than vals
+        counts = np.bincount(vals)
+        uniq = np.flatnonzero(counts)
+        counts = counts[uniq]
+    else:
+        uniq, counts = np.unique(vals, return_counts=True)
+    return list(zip(uniq.tolist(), counts.tolist()))
+
+
+def _denominator_counts(stats, fids):
+    """{fid: Counter mapping each denominator d of f(n) = 1/d to its count}.
+
+    `stats` is `_segment_stats`'s tuple.  Each statistic that a function
+    of `fids` depends on is counted once (tau serves f2 and 1/tau), and
+    each function maps its statistic's counts to denominators.
+    """
+    by_stat = {}
+    out = {}
+    for fid in fids:
+        fs = spec(fid)
+        if fs.statistic not in by_stat:
+            vals = stats[STATISTICS.index(fs.statistic)]
+            by_stat[fs.statistic] = _value_counts(vals)
+        counts = out[fid] = Counter()
+        for v, c in by_stat[fs.statistic]:
+            counts[fs.from_statistic(v)] += c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +247,8 @@ def _counts_to_sums(counts):
     return exact, float(exact)  # float(Fraction) rounds correctly
 
 
-def interval_counts(x: int, h: int, threads: int = 1):
-    """Denominator counts of all four functions over x < n <= x+h."""
+def interval_counts(x: int, h: int, threads: int = 1, fids=ALL_FNS):
+    """Denominator counts of the functions `fids` over x < n <= x+h."""
     if x < 0 or h < 1:
         raise ValueError("need x >= 0 and h >= 1")
     lo, hi = x + 1, x + h
@@ -195,31 +264,30 @@ def interval_counts(x: int, h: int, threads: int = 1):
 
     def work(bounds):
         a, b = bounds
-        stats = _segment_stats(a, b, base)
-        return {fid: _denominator_counts(stats, fid) for fid in MultFnId}
+        return _denominator_counts(_segment_stats(a, b, base), fids)
 
-    totals = {fid: Counter() for fid in MultFnId}
+    totals = {fid: Counter() for fid in fids}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, seg_bounds))
     else:
         results = [work(b) for b in seg_bounds]
     for res in results:  # ascending-segment order; merge is commutative anyway
-        for fid in MultFnId:
+        for fid in fids:
             totals[fid].update(res[fid])
     return totals
 
 
-def interval_sums_all(x: int, h: int, threads: int = 1):
-    """IntervalSum for all four functions over the same interval (one sieve pass)."""
-    totals = interval_counts(x, h, threads=threads)
+def interval_sums_all(x: int, h: int, threads: int = 1, fids=ALL_FNS):
+    """IntervalSum for each of `fids` over the same interval (one sieve pass)."""
+    totals = interval_counts(x, h, threads=threads, fids=fids)
     out = {}
-    for fid in MultFnId:
+    for fid in fids:
         exact, approx = _counts_to_sums(totals[fid])
         out[fid] = IntervalSum(fid=fid, x=x, h=h, exact=exact, approx=approx)
     return out
 
 
 def interval_sum(fid: MultFnId, x: int, h: int, threads: int = 1) -> IntervalSum:
-    """Exact S_j(x;h) = sum over x < n <= x+h of f_j(n)."""
-    return interval_sums_all(x, h, threads=threads)[fid]
+    """Exact S_j(x;h) = sum over x < n <= x+h of f_j(n), counting f_j only."""
+    return interval_sums_all(x, h, threads=threads, fids=(fid,))[fid]

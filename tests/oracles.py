@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare shortmean against.
 
 Each oracle takes an independent route to a quantity the package
-computes (trial division, a direct prime sum or product, the sawtooth
-integral for zeta, closed forms, a circle quadrature of Pi), or is a
-check or helper that only the tests run.
+computes (trial division, the per-prime segment loop, a direct prime
+sum or product, the sawtooth integral for zeta, closed forms, a circle
+quadrature of Pi), or is a check or helper that only the tests run.
 Test modules import them with `from oracles import ...`; pytest puts
 this directory on sys.path because `tests/` is not a package.
 """
@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 from mpmath import mp, mpf
@@ -27,8 +28,8 @@ from shortmean.constants import (
     pi_function,
 )
 from shortmean.eulerform import EulerForm
-from shortmean.functions import MultFnId, local_value
-from shortmean.sieve import primes_up_to
+from shortmean.functions import STATISTICS, MultFnId, local_value, spec
+from shortmean.sieve import _POW3, primes_up_to
 from shortmean.zeta import _em_N, _em_tail, zeta_many
 from shortmean.zetachecks import GROWTH_C
 
@@ -93,6 +94,78 @@ def f_value(fid: MultFnId, fac: Factorization) -> Fraction:
     for _, r in fac.factors:
         out *= local_value(fid, r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-prime segment statistics (from sieve)
+
+
+def segment_stats_loop(lo, hi, base_primes):
+    """Oracle for `sieve._segment_stats`: one Python step per base prime.
+
+    Arrays (tau_n2, tau, omega, big_omega) for n = lo..hi inclusive.
+
+    int64 tau(n^2) and tau(n), int16 omega(n) and Omega(n).  Only the
+    base primes p <= sqrt(hi) are used.  ``found`` collects the part of n
+    made of them, so n has one more prime factor, above sqrt(hi),
+    exactly when found != n.
+
+    Each base prime with a multiple here makes two strided updates,
+    omega[s::p] += 1 and found[s::p] *= p (a single hit for p at or
+    above the width).  Its levels p^e, e >= 2, touch only the multiples
+    of p^2: they multiply found by p, count the primes with e >= 2
+    (``sq``) and Omega - omega (``extra``), and build the small-int
+    corrections prod(e+1) and prod(2e+1) over those primes.  With
+    k = omega - sq primes dividing n exactly once, tau = 2^k * prod(e+1)
+    and tau(n^2) = 3^k * prod(2e+1).
+    """
+    width = hi - lo + 1
+    top = np.searchsorted(base_primes, isqrt(hi), side="right")
+    found = np.ones(width, dtype=np.int64)
+    omega = np.zeros(width, dtype=np.int16)
+    sq = np.zeros(width, dtype=np.int16)
+    extra = np.zeros(width, dtype=np.int16)
+    c_tau = np.ones(width, dtype=np.int32)
+    c_tau2 = np.ones(width, dtype=np.int32)
+
+    for p in base_primes[:top].tolist():
+        start = (-lo) % p
+        if start >= width:  # only a prime above the width can miss
+            continue
+        omega[start::p] += 1
+        found[start::p] *= p
+        q, e = p * p, 2
+        while q <= hi:
+            start = (-lo) % q
+            if start >= width:
+                break
+            found[start::q] *= p
+            extra[start::q] += 1
+            if e == 2:
+                sq[start::q] += 1
+                c_tau[start::q] *= 3
+                c_tau2[start::q] *= 5
+            else:  # swap the level-(e-1) factors for the level-e ones
+                c_tau[start::q] = c_tau[start::q] // e * (e + 1)
+                c_tau2[start::q] = c_tau2[start::q] // (2 * e - 1) * (2 * e + 1)
+            q *= p
+            e += 1
+
+    omega += found != np.arange(lo, hi + 1, dtype=np.int64)
+    del found
+    big_omega = omega + extra
+    k = omega - sq
+    tau = np.left_shift(1, k, dtype=np.int64)
+    tau *= c_tau
+    tau_n2 = _POW3[k]
+    tau_n2 *= c_tau2
+    return tau_n2, tau, omega, big_omega
+
+
+def denominators(fid, stats):
+    """int64 array of 1/f(n) from the arrays (tau_n2, tau, omega, big_omega)."""
+    fs = spec(fid)
+    return fs.from_statistic(stats[STATISTICS.index(fs.statistic)].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import on_fresh_thread, zeta_terms
+from oracles import denominators, on_fresh_thread, zeta_terms
 from shortmean import zeta
 from shortmean.constants import ln_G_hp
-from shortmean.functions import ALL_FNS, MultFnId, spec
+from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.perron import (
     _LNG_CUTOFF,
     _LNG_ORDER,
@@ -28,7 +28,7 @@ from shortmean.sieve import _segment_stats, interval_sum, primes_up_to
 
 def dirichlet_sum(fid, s, stats):
     """sum f(n) n^{-s} over n = 1..N, stats = _segment_stats(1, N, .)."""
-    coef = 1.0 / spec(fid).denominator(*stats)
+    coef = 1.0 / denominators(fid, stats)
     n = np.arange(1, len(coef) + 1, dtype=float)
     return complex(np.sum(coef * np.exp(-s * np.log(n))))
 

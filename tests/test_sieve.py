@@ -1,5 +1,6 @@
 """Segmented sieve: exact interval sums, thread invariance, caching."""
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import f_value, factorize
+from oracles import denominators, f_value, factorize, segment_stats_loop
 from shortmean import sieve
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
     CapacityError,
+    SCATTER_MIN_PRIME,
     SEGMENT_WIDTH,
     SIEVE_MAX_POINT,
+    _denominator_counts,
     _mobius_upto,
     _segment_stats,
     _spf_upto,
@@ -190,3 +193,95 @@ def test_interval_sums_are_additive(x, h1, h2):
     right = interval_sums_all(x + h1, h2)
     for fid in ALL_FNS:
         assert whole[fid].exact == left[fid].exact + right[fid].exact
+
+
+def assert_equal_to_loop(lo, hi):
+    base = primes_up_to(isqrt(hi))
+    got, want = _segment_stats(lo, hi, base), segment_stats_loop(lo, hi, base)
+    for name, a, b in zip(("tau_n2", "tau", "omega", "big_omega"), got, want):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("x", [0, 10**7, 10**10, SIEVE_MAX_POINT - SEGMENT_WIDTH])
+def test_segment_stats_equal_the_loop_on_full_segments(x):
+    assert_equal_to_loop(x + 1, x + SEGMENT_WIDTH)
+
+
+@pytest.mark.parametrize("lo, width", [
+    (1, 1),
+    (521**2 - 99, 100),  # ends at the square of the least scattered prime
+    (521**3, 50),        # starts at its cube
+    (10**10 + 1, SCATTER_MIN_PRIME - 1),
+    (10**10 + 7, 40),
+    (SIEVE_MAX_POINT - 299, 300),
+])
+def test_segment_stats_equal_the_loop_on_narrow_windows(lo, width):
+    # narrower than the split: most scattered primes have no multiple here
+    assert width < SCATTER_MIN_PRIME
+    assert_equal_to_loop(lo, lo + width - 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.integers(1, 10**12), st.integers(10**11, 10**12)),
+       st.integers(1, 20000))
+@example(10**12, 20000)  # four chunks; 69 690 of 78 401 scattered primes miss
+def test_segment_stats_equal_the_loop_anywhere(lo, width):
+    assert_equal_to_loop(lo, lo + width - 1)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scatter_keeps_the_segment_peak_memory():
+    x = 10**10
+    lo, hi = x + 1, x + SEGMENT_WIDTH
+    base = primes_up_to(isqrt(hi))
+    segment = traced_peak(_segment_stats, lo, hi, base)
+    assert segment <= 1.25 * traced_peak(segment_stats_loop, lo, hi, base)
+    # the chunk bound: a run's temporaries stay below found's int64 array,
+    # where one run of all 9 495 scattered primes (62 % of the width in
+    # hits) took 1.8 times that
+    omega = np.zeros(SEGMENT_WIDTH, dtype=np.int16)
+    found = np.ones(SEGMENT_WIDTH, dtype=np.int64)
+    large = base[base >= SCATTER_MIN_PRIME]
+    scatter = traced_peak(sieve._scatter_primes, lo, large, omega, found)
+    assert scatter < found.nbytes
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, SEGMENT_WIDTH),
+    (10**10 + 1, 10**10 + SEGMENT_WIDTH),
+    (10**10 + 1, 10**10 + 300),  # values beyond the width: the sort path
+])
+def test_denominator_counts_equal_a_sort_of_each_denominator(lo, hi):
+    stats = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    fids = ALL_FNS + ("inv_tau",)
+    counts = _denominator_counts(stats, fids)
+    assert list(counts) == list(fids)
+    for fid in fids:
+        uniq, n = np.unique(denominators(fid, stats), return_counts=True)
+        assert counts[fid] == dict(zip(uniq.tolist(), n.tolist())), fid
+        assert all(type(d) is int for d in counts[fid]), fid
+
+
+def test_interval_sum_counts_its_own_function_only(monkeypatch):
+    asked = []
+    real = sieve._denominator_counts
+
+    def recording(stats, fids):
+        asked.append(tuple(fids))
+        return real(stats, fids)
+
+    monkeypatch.setattr(sieve, "_denominator_counts", recording)
+    x, h = 10**6, SEGMENT_WIDTH + 500  # two segments
+    one = interval_sum(MultFnId.INV_TAU_SQ, x, h)
+    assert asked == [(MultFnId.INV_TAU_SQ,)] * 2
+    assert one == interval_sums_all(x, h)[MultFnId.INV_TAU_SQ]
+    assert asked[2:] == [ALL_FNS] * 2
