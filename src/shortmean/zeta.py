@@ -1,6 +1,6 @@
 """Riemann zeta evaluation: Euler-Maclaurin in double and extended precision.
 
-Two evaluators share one algorithm:
+Three evaluators share one algorithm:
 
   * `zeta_many` - numpy-vectorized double precision for critical-line and
     vertical-line scans (|t| up to T_MAX).  Its argument is a grid whose rows
@@ -17,7 +17,12 @@ Two evaluators share one algorithm:
   * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
     (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
     completely multiplicative, so mp.power runs only at primes and a
-    composite n takes p^{-s} * (n/p)^{-s}, p its smallest prime factor.
+    composite n takes p^{-s} * (n/p)^{-s}, p its smallest prime factor;
+  * `zeta_series_hp` - mpmath, on the real axis: the Taylor coefficients
+    in u of zeta(m - m u) and of w(1 - u) = (s - 1) zeta(s), from
+    Euler-Maclaurin on truncated power series in u, with Backlund's
+    remainder bound carried to each coefficient by Cauchy's estimate.
+    It serves `constants.pi_taylor`.
 
 The high-precision prime zeta P(s) is the Mobius-log series
 sum_k mu(k)/k * log zeta(ks); `_prime_zeta_mobius` lets ln G share each
@@ -33,6 +38,7 @@ import threading
 import numpy as np
 from mpmath import mp, mpc, mpf
 
+from .powerseries import exp_linear_coeffs
 from .sieve import _mobius_upto, _spf_upto
 
 _EM_K = 36  # Bernoulli correction depth (double precision)
@@ -271,6 +277,128 @@ def w_hp(s):
     if s == 1:
         return mpc(1)
     return (s - 1) * zeta_hp(s)
+
+
+# ---------------------------------------------------------------------------
+# Taylor series in u of zeta(m - m u) on the real axis (mpmath)
+
+_SERIES_RADII = (0.125, 0.25, 0.5, 1.0, 2.0)  # circles |s - m| = rho for Cauchy
+_SERIES_GUARD_DPS = 10
+_SERIES_ROUNDING_ULPS = 1000  # rounding bound, in guarded ulps per unit of size
+
+
+def _series_N0(dps):
+    """Length of the direct sum: the Bernoulli terms then fall by about
+    (2 pi N0)^2 / (m + 2k)^2 each, and a few dozen reach 10^-(dps+3)."""
+    return int(dps) + 10
+
+
+def _backlund_log_bounds(m, N0, K, log_b_next, N):
+    """ln of a bound on coefficient j, j = 0..N, of the Euler-Maclaurin
+    remainder R_K(m - m u) after K Bernoulli terms.
+
+    Backlund (Edwards, Riemann's Zeta Function, 6.4): for sigma > -(2K+1),
+    |R_K(s)| <= |s + 2K + 1| / (sigma + 2K + 1) |T_{K+1}(s)|, with
+    |T_{K+1}(s)| = |B_{2K+2}|/(2K+2)! N0^{-sigma-2K-1} prod_{i <= 2K} |s + i|
+    and log_b_next = ln |B_{2K+2}|.  On the circle |s - m| = rho, that is
+    |u| = rho/m, |s + i| <= m + rho + i and sigma >= m - rho; Cauchy's
+    estimate divides by (rho/m)^j.  Each j takes the best of _SERIES_RADII.
+    """
+    ln_N0 = math.log(N0)
+    logs = [math.inf] * (N + 1)
+    for rho in _SERIES_RADII:
+        hi, lo = m + rho, m - rho
+        log_f = (log_b_next - math.lgamma(2 * K + 3)
+                 - (lo + 2 * K + 1) * ln_N0
+                 + math.lgamma(hi + 2 * K + 1) - math.lgamma(hi)
+                 + math.log((hi + 2 * K + 1) / (lo + 2 * K + 1)))
+        step = math.log(m / rho)
+        logs = [min(x, log_f + j * step) for j, x in enumerate(logs)]
+    return logs
+
+
+def zeta_series_hp(ms, N):
+    """Taylor coefficients in u, through u^N, by one real Euler-Maclaurin.
+
+    Returns {m: (coeffs, bound)} for each m in `ms`: the series of
+    zeta(m - m u) for an integer m >= 2, and of w(1 - u) = (s - 1) zeta(s)
+    at s = 1 - u for m = 1; bound[j] (a float) bounds the error of
+    coeffs[j].  With s = m - m u,
+
+        zeta(s) = sum_{n < N0} n^{-s} + N0^{1-s}/(s-1) + N0^{-s}/2
+                  + sum_{k <= K} T_k(s) + R_K(s),
+        T_k(s) = B_2k/(2k)! N0^{1-s-2k} s (s+1) ... (s+2k-2),
+
+    where n^{-s} = n^{-m} e^{m u ln n}, each ln n computed once for every
+    m, and T_{k+1} is T_k times (s+2k-1)(s+2k), two linear polynomials in
+    u, and a constant.  For m = 1 the pole cancels exactly:
+    (s-1) N0^{1-s}/(s-1) = N0^u, and the rest is multiplied by s - 1 = -u.
+    Terms are added until Backlund's bound on the remainder
+    (`_backlund_log_bounds`) falls below 10^-(dps+3) in every coefficient;
+    the bound returned adds rounding at _SERIES_GUARD_DPS guard digits.
+    """
+    if N < 0 or any(m < 1 for m in ms):
+        raise ValueError("need N >= 0 and integers m >= 1")
+    log_tol = -(mp.dps + 3) * math.log(10)
+    N0 = _series_N0(mp.dps)
+    out = {}
+    with mp.extradps(_SERIES_GUARD_DPS):
+        ln_N0 = mp.log(N0)
+        # (ln n)^j / j! for n = 2..N0-1, one column per j, shared by every m
+        cols = list(zip(*(exp_linear_coeffs(mpf(1), mp.log(n), N)
+                          for n in range(2, N0))))
+        bern = [mpf(1)]  # bern[k] = B_2k
+        rounding = _SERIES_ROUNDING_ULPS * mp.eps
+        for m in ms:
+            lam = m * ln_N0  # N0^{-s} = N0^{-m} e^{lam u}
+            # sum_{n < N0} n^{-s} + N0^{-s}/2, every term positive
+            inv = [mpf(n) ** -m for n in range(2, N0)]
+            total = [mp.fdot(inv, col) * m**j for j, col in enumerate(cols)]
+            total[0] += 1
+            for j, x in enumerate(exp_linear_coeffs(mpf(N0) ** -m / 2, lam, N)):
+                total[j] += x
+            size = list(total)
+            # T_1 = B_2/2 N0^{-s-1} s
+            term = exp_linear_coeffs(mpf(N0) ** (-m - 1) / 12, lam, N)
+            term = _times_linear(term, m, m)
+            K, prev = 1, math.inf
+            while True:
+                for j, x in enumerate(term):
+                    total[j] += x
+                    size[j] += abs(x)
+                while len(bern) <= K + 1:
+                    bern.append(mp.bernoulli(2 * len(bern)))
+                logs = _backlund_log_bounds(
+                    m, N0, K, float(mp.log(abs(bern[K + 1]))), N)
+                if max(logs) <= log_tol:
+                    break
+                if max(logs) >= prev:
+                    raise ArithmeticError("Euler-Maclaurin terms stopped falling")
+                prev = max(logs)
+                ratio = bern[K + 1] / bern[K] / ((2 * K + 1) * (2 * K + 2) * N0 * N0)
+                term = _times_linear(_times_linear(term, m + 2 * K - 1, m),
+                                     m + 2 * K, m)
+                term = [ratio * x for x in term]
+                K += 1
+            bound = [math.exp(x) for x in logs]
+            if m == 1:  # w = N0^u - u * (everything else)
+                pole = exp_linear_coeffs(mpf(1), lam, N)
+                coeffs = pole[:1] + [p - x for p, x in zip(pole[1:], total)]
+                size = pole[:1] + [p + z for p, z in zip(pole[1:], size)]
+                bound = [0.0] + bound[:N]
+            else:  # add N0^{1-s}/(s-1) = N0^{1-m} e^{lam u} / (m - 1 - m u)
+                pole = exp_linear_coeffs(mpf(N0) ** (1 - m), lam, N)
+                for j in range(N + 1):
+                    pole[j] = (pole[j] + m * (pole[j - 1] if j else 0)) / (m - 1)
+                coeffs = [x + p for x, p in zip(total, pole)]
+                size = [z + p for z, p in zip(size, pole)]
+            out[m] = (coeffs, [b + float(rounding * z) for b, z in zip(bound, size)])
+    return out
+
+
+def _times_linear(c, alpha, beta):
+    """Coefficients of (alpha - beta u) c(u), truncated to the length of c."""
+    return [alpha * x - (beta * c[j - 1] if j else 0) for j, x in enumerate(c)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each oracle takes an independent route to a quantity the package
 computes (trial division, the per-prime segment loop, a direct prime
-sum or product, the sawtooth integral for zeta, closed forms, a circle
-quadrature of Pi), or is a check or helper that only the tests run.
+sum or product, the sawtooth integral for zeta, mpmath's zeta
+derivatives and Stieltjes constants, closed forms, a circle quadrature
+of Pi), or is a check or helper that only the tests run.
 Test modules import them with `from oracles import ...`; pytest puts
 this directory on sys.path because `tests/` is not a package.
 """
@@ -297,7 +298,8 @@ def pi_taylor_quadrature(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
 
 
 # ---------------------------------------------------------------------------
-# zeta: scalar form, direct prime zeta, sawtooth integral, first zero
+# zeta: scalar form, Taylor series in u, direct prime zeta, sawtooth
+# integral, first zero
 # (from zeta)
 
 
@@ -314,6 +316,17 @@ def zeta_terms(s):
     direct = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N + 1.0)))).sum(axis=-1)
     n_pow, boundary, corr = _em_tail(s, N)
     return direct + n_pow * N / (s - 1.0) + boundary + corr
+
+
+def zeta_taylor_mpmath(m, N):
+    """Oracle for `zeta.zeta_series_hp`: the Taylor coefficients in u,
+    through u^N, of zeta(m - m u), m >= 2, from mpmath's derivatives,
+    zeta^{(j)}(m) (-m)^j / j!; for m = 1, those of w(1 - u) = -u zeta(1 - u)
+    from the Stieltjes constants, w(1 - u) = 1 - sum_k gamma_k u^{k+1} / k!
+    (mpmath integrates each gamma_k by quadrature)."""
+    if m == 1:
+        return [mpf(1)] + [-mp.stieltjes(k) / mp.factorial(k) for k in range(N)]
+    return [mp.zeta(m, 1, j) * (-m) ** j / mp.factorial(j) for j in range(N + 1)]
 
 
 def on_fresh_thread(fn, *args):

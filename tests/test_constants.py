@@ -70,8 +70,10 @@ def test_shared_n_series_matches_per_n_prime_zeta():
 
 def test_pi_taylor_call_counts(monkeypatch):
     # the Taylor series come from real-argument data only: no point
-    # evaluation of Pi, ln G or the Euler-Maclaurin zeta
-    calls = {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0}
+    # evaluation of Pi, ln G or the Euler-Maclaurin zeta, and neither
+    # mpmath's zeta derivatives nor its Stieltjes constants (quadratures)
+    calls = {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0,
+             "mp.zeta": 0, "mp.stieltjes": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -85,8 +87,11 @@ def test_pi_taylor_call_counts(monkeypatch):
     monkeypatch.setattr(constants, "ln_G_hp", counted("ln_G_hp", constants.ln_G_hp))
     monkeypatch.setattr(
         constants, "pi_function", counted("pi_function", constants.pi_function))
+    monkeypatch.setattr(mp, "zeta", counted("mp.zeta", mp.zeta))
+    monkeypatch.setattr(mp, "stieltjes", counted("mp.stieltjes", mp.stieltjes))
     pi_taylor(euler_form(MultFnId.INV_TAU_SQ), 4)
-    assert calls == {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0}
+    assert calls == {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0,
+                     "mp.zeta": 0, "mp.stieltjes": 0}
 
 
 def test_pi_taylor_budget_bounds_a_more_precise_run():

@@ -255,6 +255,18 @@ def test_scatter_keeps_the_segment_peak_memory():
     assert scatter < found.nbytes
 
 
+def test_scatter_peak_memory_is_bounded_by_the_width():
+    # at the sieve's cap the 3 957 712 scattered base primes go in blocks:
+    # in one block their per-prime arrays peaked at 152 MiB
+    lo = SIEVE_MAX_POINT - SEGMENT_WIDTH + 1
+    base = primes_up_to(isqrt(lo + SEGMENT_WIDTH - 1))
+    large = base[base >= SCATTER_MIN_PRIME]
+    assert large.size > 3_900_000
+    omega = np.zeros(SEGMENT_WIDTH, dtype=np.int16)
+    found = np.ones(SEGMENT_WIDTH, dtype=np.int64)
+    assert traced_peak(sieve._scatter_primes, lo, large, omega, found) < found.nbytes
+
+
 @pytest.mark.parametrize("lo, hi", [
     (1, SEGMENT_WIDTH),
     (10**10 + 1, 10**10 + SEGMENT_WIDTH),

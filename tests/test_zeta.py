@@ -19,6 +19,7 @@ from oracles import (
     prime_zeta_direct,
     zeta,
     zeta_integral_rep,
+    zeta_taylor_mpmath,
     zeta_terms,
 )
 from shortmean import zeta as zeta_mod
@@ -28,6 +29,7 @@ from shortmean.zeta import (
     w_hp,
     zeta_hp,
     zeta_many,
+    zeta_series_hp,
 )
 
 
@@ -227,6 +229,33 @@ def test_zeta_hp_matches_mpmath():
         assert w_hp(mp.mpc(1)) == 1
     finally:
         mp.dps = old
+
+
+@pytest.mark.parametrize("dps", [40, 60])
+def test_zeta_series_within_its_bound(dps):
+    # every coefficient of zeta(m - m u), m = 2..30, and of w(1 - u) at
+    # m = 1 is within its returned bound of mpmath's derivatives and
+    # Stieltjes constants (taken 20 digits finer) at each order N = 0..8,
+    # and the bound is below 10^-dps
+    ms = range(1, 31)
+    with mp.workdps(dps + 20):
+        want = {m: zeta_taylor_mpmath(m, 8) for m in ms}
+    with mp.workdps(dps):
+        for N in range(9):
+            got = zeta_series_hp(ms, N)
+            for m in ms:
+                coeffs, bound = got[m]
+                assert len(coeffs) == len(bound) == N + 1, (m, N)
+                for j in range(N + 1):
+                    assert abs(coeffs[j] - want[m][j]) <= bound[j], (m, N, j)
+                    assert bound[j] <= 10.0**-dps, (m, N, j)
+
+
+def test_zeta_series_domain():
+    with pytest.raises(ValueError):
+        zeta_series_hp([0], 4)
+    with pytest.raises(ValueError):
+        zeta_series_hp([2], -1)
 
 
 def test_prime_zeta_against_direct_oracle():
