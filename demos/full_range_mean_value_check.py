@@ -7,7 +7,7 @@ against the N-term asymptotic X * (ln X)^{a-1} * sum K~_n (ln X)^{-n}
 should shrink roughly like 1/ln X as X grows, and adding terms should
 help at fixed X.
 
-Runs in a couple of minutes (the X = 1e8 sieve dominates).
+Runs in about 5 s of wall time on 2 vCPUs (the X = 1e8 sieve dominates).
 """
 
 import time

@@ -9,13 +9,15 @@ depends only on the exponent k:
     f4(p^k) = 2^{-k}        (2^{-Omega(n)})
 
 The value at n = 1 is the empty product, 1.  `spec(fid)` holds the
-rule of each function together with the forms derived from it.  The one
-closed form is `factor_hp`, the local factor F_p at working precision:
-`constants.ln_G_hp` evaluates it at each complex point, where it is
-faster than summing the local series to 30 digits.  The Taylor series
-of `constants.pi_taylor` sum the local series from `local`, and double
+rule of each function together with the forms derived from it.  Every
+f(p^k) is 1/integer, so the sieve counts the integer denominators 1/f(n),
+each taken from `local` and the exponents of n.  The Taylor series of
+`constants.pi_taylor` sum the local series from `local` too, and double
 precision needs no closed form, since `perron.ln_G_line` sums ln G_p
-from the Euler form's g_n.
+from the Euler form's g_n.  The one closed form is `factor_hp`, the
+local factor F_p at working precision, for the small primes of
+`constants.ln_G_hp`: only `pi_function` calls that, at u = 0 for the
+Ramanujan constant A0 and, in the tests, on the circle quadrature.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class MultFnId(enum.Enum):
 
 ALL_FNS = tuple(MultFnId)
 
-# the per-integer statistics of `sieve._segment_stats`, in its order:
-# tau(n^2), tau(n), omega(n), Omega(n)
-STATISTICS = ("tau_n2", "tau", "omega", "big_omega")
-
 
 @dataclass(frozen=True)
 class FnSpec:
@@ -56,10 +54,8 @@ class FnSpec:
     every other local quantity is derived from `local`.
     """
 
-    local: Callable        # k -> f(p^k) as an exact rational, for k >= 1
-    factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k, mpmath scalar
-    statistic: str         # the entry of STATISTICS that 1/f(n) is a function of
-    from_statistic: Callable  # that statistic's value -> 1/f(n), int or int64 array
+    local: Callable        # k -> f(p^k) = 1/integer as a Fraction, for k >= 1
+    factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k at working precision
     flag: str | None = None  # where a derived exponent disagrees with a display
 
 
@@ -72,35 +68,25 @@ _SPECS = {
     MultFnId.INV_TAU_SQ: FnSpec(
         local=lambda k: Fraction(1, 2 * k + 1),
         factor_hp=_f1_hp,
-        statistic="tau_n2",
-        from_statistic=lambda t: t,
     ),
     MultFnId.INV_TAU_SQUARED: FnSpec(
         local=lambda k: Fraction(1, (k + 1) ** 2),
         factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
-        statistic="tau",
-        from_statistic=lambda t: t * t,
         flag="zeta2s-exponent: derived -13/288 (display prints 19/244)",
     ),
     MultFnId.INV_TWO_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2),
         factor_hp=lambda X: (1 - X / 2) / (1 - X),
-        statistic="omega",
-        from_statistic=lambda w: 2**w,
         flag="zeta2s-exponent-sign: derived +1/8 (display prints -1/8)",
     ),
     MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2**k),
         factor_hp=lambda X: 1 / (1 - X / 2),
-        statistic="big_omega",
-        from_statistic=lambda w: 2**w,
     ),
     # 1/tau(n), for the Ramanujan constant cross-check only
     "inv_tau": FnSpec(
         local=lambda k: Fraction(1, k + 1),
         factor_hp=lambda X: -mp.log(1 - X) / X,  # sum X^k/(k+1)
-        statistic="tau",
-        from_statistic=lambda t: t,
     ),
 }
 

@@ -4,22 +4,22 @@ The only module that sieves: `primes_up_to` keeps one table of primes, and
 the smallest prime factors and Mobius values are built from its slices.
 
 Ground truth for every asymptotic claim: S_j(x;h) = sum_{x < n <= x+h} f_j(n)
-computed exactly.  The fast path never materializes factorizations; per
-segment it tracks the four integer statistics
-
-    tau(n^2), tau(n), omega(n), Omega(n)
-
-(see _segment_stats).  Base primes below SCATTER_MIN_PRIME make two
-strided updates each.  The larger ones have few multiples in a segment,
-so they are taken in blocks and their hits scattered in batches, each of
-at most about an eighth of the segment's width, which keeps a block's
-and a batch's arrays smaller than one of the segment's own arrays.  The
-multiples of p^2 get strided updates for the prime powers.  Each
-function's denominator 1/f(n) is a function of one statistic
-(`FnSpec.statistic`), so each statistic's (small, repetitive) values are
-counted once per segment and mapped to the denominators of the
-requested functions only.  The exact rational sum is a short sum of
-count/value terms, so it stays cheap even over 10^8 integers.
+computed exactly.  The fast path never materializes factorizations:
+every f(n) here depends only on omega(n) and n's exponents e >= 2, so a
+segment keeps omega(n) and a signature code, the product of r(e) = the
+(e-1)-th prime over the primes with p^2 | n (see _segment_stats).  Base
+primes below SCATTER_MIN_PRIME make two strided updates each.  The
+larger ones have few multiples in a segment, so they are taken in
+blocks and their hits scattered in batches of at most about an eighth
+of the segment's width, which keeps a block's and a batch's arrays
+smaller than one of the segment's own.  Each level p^e, e >= 2, makes
+two strided updates (found and code).  The key code << 4 | omega is
+below 2^20 for n <= 2^52 (omega <= 13, code <= 38 599) and fits int32.
+It is counted once per segment, by bincount when its largest value is
+below the window's width and by a sort otherwise (a narrow window would
+not pay for 618 k bins), and each distinct key is decoded once into the
+denominators of the requested functions only.  The exact rational sum
+is a short sum of count/value terms, cheap even over 10^8 integers.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cache
+from math import isqrt, prod
 
 import numpy as np
 
-from .functions import ALL_FNS, STATISTICS, MultFnId, spec
+from .functions import ALL_FNS, MultFnId, spec
 
 SEGMENT_WIDTH = 1 << 20
 SCATTER_MIN_PRIME = 512              # base primes from here on are scattered
@@ -95,8 +96,8 @@ def _mobius_upto(kmax):
 # ---------------------------------------------------------------------------
 # per-segment statistics
 
-# 3^k for k <= omega(n); omega(n) <= 15 for every n < 2^63
-_POW3 = 3 ** np.arange(16, dtype=np.int64)
+# r(e) = the (e-1)-th prime, for every exponent 2 <= e <= 52 of n <= 2^52
+_LEVEL_PRIMES = [r for r in range(2, 240) if all(r % d for d in range(2, isqrt(r) + 1))]
 _ONE16 = np.int16(1)  # omega's dtype, for np.add.at's fast path
 # primes in a block, and hits in a run, of _scatter_primes: an eighth of
 # the width, but not so few that narrow windows take many Python steps
@@ -104,12 +105,20 @@ _SCATTER_MIN_RUN = 1 << 13
 
 
 def _segment_stats(lo, hi, base_primes):
-    """Arrays (tau_n2, tau, omega, big_omega) for n = lo..hi inclusive.
+    """Arrays (omega, code) for n = lo..hi inclusive.
 
-    int64 tau(n^2) and tau(n), int16 omega(n) and Omega(n).  Only the
-    base primes p <= sqrt(hi) are used.  ``found`` collects the part of n
-    made of them, so n has one more prime factor, above sqrt(hi),
-    exactly when found != n.
+    int16 omega(n), and the int32 signature code(n) = prod r(e_p) over
+    the primes p with p^2 | n, where e_p is the exponent of p in n and
+    r(e) the (e-1)-th prime (r(2) = 2, r(3) = 3, r(4) = 5, ...).  By
+    unique factorization the code gives back the multiset of exponents
+    e >= 2, and with omega(n) it fixes f(n) for every function here.
+    For n <= 2^52, omega <= 13 and code <= 38 599 (for 2^11 3^6 5^6 7^6),
+    so `_denominator_counts`'s key code << 4 | omega is below 2^20 and
+    fits int32; `_value_counts` takes bincount for it only when its
+    largest value is below the width.  Only the base primes
+    p <= sqrt(hi) are used.  ``found`` collects the part of n made of
+    them, so n has one more prime factor, above sqrt(hi), exactly when
+    found != n.
 
     Each base prime below SCATTER_MIN_PRIME makes two strided updates,
     omega[s::p] += 1 and found[s::p] *= p.  A larger prime has at most
@@ -117,11 +126,8 @@ def _segment_stats(lo, hi, base_primes):
     prime would cost more than its few hits: `_scatter_primes` applies
     the hits of all of them at once.  The levels p^e, e >= 2, of every
     prime whose square has a multiple here touch only the multiples of
-    p^2: they multiply found by p, count the primes with e >= 2 (``sq``)
-    and Omega - omega (``extra``), and build the small-int corrections
-    prod(e+1) and prod(2e+1) over those primes.  With k = omega - sq
-    primes dividing n exactly once, tau = 2^k * prod(e+1) and
-    tau(n^2) = 3^k * prod(2e+1).
+    p^e, with two strided updates each: found *= p, and code *= 2 at
+    level 2 or code //= r(e-1) then *= r(e) above it.
     """
     width = hi - lo + 1
     top = np.searchsorted(base_primes, isqrt(hi), side="right")
@@ -129,10 +135,7 @@ def _segment_stats(lo, hi, base_primes):
     small = base_primes[:split].tolist()
     found = np.ones(width, dtype=np.int64)
     omega = np.zeros(width, dtype=np.int16)
-    sq = np.zeros(width, dtype=np.int16)
-    extra = np.zeros(width, dtype=np.int16)
-    c_tau = np.ones(width, dtype=np.int32)
-    c_tau2 = np.ones(width, dtype=np.int32)
+    code = np.ones(width, dtype=np.int32)
 
     for p in small:
         start = (-lo) % p
@@ -148,26 +151,15 @@ def _segment_stats(lo, hi, base_primes):
             if start >= width:
                 break
             found[start::q] *= p
-            extra[start::q] += 1
-            if e == 2:
-                sq[start::q] += 1
-                c_tau[start::q] *= 3
-                c_tau2[start::q] *= 5
-            else:  # swap the level-(e-1) factors for the level-e ones
-                c_tau[start::q] = c_tau[start::q] // e * (e + 1)
-                c_tau2[start::q] = c_tau2[start::q] // (2 * e - 1) * (2 * e + 1)
+            level = code[start::q]  # a view: the updates land in code
+            if e > 2:
+                level //= _LEVEL_PRIMES[e - 3]
+            level *= _LEVEL_PRIMES[e - 2]
             q *= p
             e += 1
 
     omega += found != np.arange(lo, hi + 1, dtype=np.int64)
-    del found
-    big_omega = omega + extra
-    k = omega - sq
-    tau = np.left_shift(1, k, dtype=np.int64)
-    tau *= c_tau
-    tau_n2 = _POW3[k]
-    tau_n2 *= c_tau2
-    return tau_n2, tau, omega, big_omega
+    return omega, code
 
 
 def _scatter_primes(lo, primes, omega, found):
@@ -222,23 +214,44 @@ def _value_counts(vals):
     return list(zip(uniq.tolist(), counts.tolist()))
 
 
+_DENOMINATORS = {}  # fid -> {key: 1/f(n)}, filled as keys appear
+
+
+@cache
+def _signature(key):
+    """(omega, ascending exponents e >= 2) of each n with key code << 4 | omega."""
+    code, exps = key >> 4, []
+    for e, r in enumerate(_LEVEL_PRIMES, 2):
+        while code % r == 0:
+            code //= r
+            exps.append(e)
+    return key & 15, tuple(exps)
+
+
 def _denominator_counts(stats, fids):
     """{fid: Counter mapping each denominator d of f(n) = 1/d to its count}.
 
-    `stats` is `_segment_stats`'s tuple.  Each statistic that a function
-    of `fids` depends on is counted once (tau serves f2 and 1/tau), and
-    each function maps its statistic's counts to denominators.
+    `stats` is `_segment_stats`'s (omega, code).  The key code << 4 | omega
+    is counted once for all of `fids` (as intp, which bincount takes
+    without a copy).  Each distinct key is decoded once per process by
+    `_signature`, and its denominator (1/f(p))^(omega - |sig|) times
+    prod 1/f(p^e) over the exponents e of sig is memoized per function.
     """
-    by_stat = {}
+    omega, code = stats
+    key = np.left_shift(code, 4, dtype=np.intp)
+    key |= omega
+    keys = _value_counts(key)
     out = {}
     for fid in fids:
-        fs = spec(fid)
-        if fs.statistic not in by_stat:
-            vals = stats[STATISTICS.index(fs.statistic)]
-            by_stat[fs.statistic] = _value_counts(vals)
+        memo, local = _DENOMINATORS.setdefault(fid, {}), spec(fid).local
         counts = out[fid] = Counter()
-        for v, c in by_stat[fs.statistic]:
-            counts[fs.from_statistic(v)] += c
+        for k, c in keys:
+            d = memo.get(k)
+            if d is None:
+                w, exps = _signature(k)
+                f = local(1) ** (w - len(exps)) * prod(map(local, exps))
+                d = memo[k] = int(1 / f)
+            counts[d] += c
     return out
 
 

@@ -29,8 +29,8 @@ from shortmean.constants import (
     pi_function,
 )
 from shortmean.eulerform import EulerForm
-from shortmean.functions import STATISTICS, MultFnId, local_value, spec
-from shortmean.sieve import _POW3, primes_up_to
+from shortmean.functions import MultFnId, local_value
+from shortmean.sieve import primes_up_to
 from shortmean.zeta import _em_N, _em_tail, zeta_many
 from shortmean.zetachecks import GROWTH_C
 
@@ -101,33 +101,58 @@ def f_value(fid: MultFnId, fac: Factorization) -> Fraction:
 # per-prime segment statistics (from sieve)
 
 
-def segment_stats_loop(lo, hi, base_primes):
+# r(e) = the (e-1)-th prime, by trial division, for the exponents e <= 52
+# of n <= 2^52; r(0) = r(1) = 1
+_SIGNATURE_PRIME = np.array(
+    [1, 1] + [m for m in range(2, 240) if factorize(m).factors == ((m, 1),)][:51],
+    dtype=np.int32)
+
+
+def signature_code(exponents):
+    """prod r(e) over the exponents e >= 2: the sieve's signature code."""
+    return int(np.prod(_SIGNATURE_PRIME[list(exponents)], dtype=np.int64))
+
+
+@dataclass
+class SegmentFactors:
+    """Per-integer statistics of n = lo..hi from `segment_stats_loop`."""
+
+    omega: np.ndarray      # int16 omega(n)
+    big_omega: np.ndarray  # int16 Omega(n)
+    tau: np.ndarray        # int64 tau(n) = prod (e+1)
+    tau_n2: np.ndarray     # int64 tau(n^2) = prod (2e+1)
+    code: np.ndarray       # int32 signature_code of n's exponents
+    dens: dict             # fid -> int64 1/f(n) = prod 1/f(p^e)
+
+
+def segment_stats_loop(lo, hi, base_primes, fids=()):
     """Oracle for `sieve._segment_stats`: one Python step per base prime.
 
-    Arrays (tau_n2, tau, omega, big_omega) for n = lo..hi inclusive.
-
-    int64 tau(n^2) and tau(n), int16 omega(n) and Omega(n).  Only the
-    base primes p <= sqrt(hi) are used.  ``found`` collects the part of n
-    made of them, so n has one more prime factor, above sqrt(hi),
-    exactly when found != n.
-
-    Each base prime with a multiple here makes two strided updates,
-    omega[s::p] += 1 and found[s::p] *= p (a single hit for p at or
-    above the width).  Its levels p^e, e >= 2, touch only the multiples
-    of p^2: they multiply found by p, count the primes with e >= 2
-    (``sq``) and Omega - omega (``extra``), and build the small-int
-    corrections prod(e+1) and prod(2e+1) over those primes.  With
-    k = omega - sq primes dividing n exactly once, tau = 2^k * prod(e+1)
-    and tau(n^2) = 3^k * prod(2e+1).
+    Only the base primes p <= sqrt(hi) are used.  ``found`` collects the
+    part of n made of them, so n has one more prime factor, above
+    sqrt(hi), exactly when found != n.  Each base prime with a multiple
+    here adds 1 to omega and multiplies found by p over its multiples.
+    Where p^2 has multiples, the multiples of p^3, p^4, ... among them
+    give the exponent e >= 2 of p in each, and every statistic takes its
+    factor from that e: Omega gets e - 1 more, and the products
+    prod (e+1), prod (2e+1), prod r(e) and, for each fid of `fids`,
+    prod 1/f(p^e) (from `local_value`) over the primes with e >= 2 are
+    kept.  Each of the k = omega - #{e >= 2} primes that divide n once
+    gives the same factor, so tau = 2^k prod (e+1), tau(n^2) =
+    3^k prod (2e+1) and 1/f(n) = (1/f(p))^k prod 1/f(p^e).
     """
     width = hi - lo + 1
     top = np.searchsorted(base_primes, isqrt(hi), side="right")
     found = np.ones(width, dtype=np.int64)
     omega = np.zeros(width, dtype=np.int16)
-    sq = np.zeros(width, dtype=np.int16)
-    extra = np.zeros(width, dtype=np.int16)
-    c_tau = np.ones(width, dtype=np.int32)
-    c_tau2 = np.ones(width, dtype=np.int32)
+    squares = np.zeros(width, dtype=np.int16)   # primes with e >= 2
+    extra = np.zeros(width, dtype=np.int16)     # Omega - omega
+    tau_sq = np.ones(width, dtype=np.int64)
+    tau2_sq = np.ones(width, dtype=np.int64)
+    code = np.ones(width, dtype=np.int32)
+    recip = {fid: np.array([int(1 / local_value(fid, e)) for e in range(53)])
+             for fid in fids}
+    dens = {fid: np.ones(width, dtype=np.int64) for fid in fids}
 
     for p in base_primes[:top].tolist():
         start = (-lo) % p
@@ -135,38 +160,35 @@ def segment_stats_loop(lo, hi, base_primes):
             continue
         omega[start::p] += 1
         found[start::p] *= p
-        q, e = p * p, 2
-        while q <= hi:
+        q = p * p
+        first = (-lo) % q
+        if q > hi or first >= width:
+            continue
+        hit = slice(first, None, q)
+        e = np.full(len(range(first, width, q)), 2, dtype=np.int64)
+        while q * p <= hi:
+            q *= p
             start = (-lo) % q
             if start >= width:
                 break
-            found[start::q] *= p
-            extra[start::q] += 1
-            if e == 2:
-                sq[start::q] += 1
-                c_tau[start::q] *= 3
-                c_tau2[start::q] *= 5
-            else:  # swap the level-(e-1) factors for the level-e ones
-                c_tau[start::q] = c_tau[start::q] // e * (e + 1)
-                c_tau2[start::q] = c_tau2[start::q] // (2 * e - 1) * (2 * e + 1)
-            q *= p
-            e += 1
+            e[(start - first) // (p * p) :: q // (p * p)] += 1
+        found[hit] *= p ** (e - 1)
+        squares[hit] += 1
+        extra[hit] += (e - 1).astype(np.int16)
+        tau_sq[hit] *= e + 1
+        tau2_sq[hit] *= 2 * e + 1
+        code[hit] *= _SIGNATURE_PRIME[e]
+        for fid in fids:
+            dens[fid][hit] *= recip[fid][e]
 
     omega += found != np.arange(lo, hi + 1, dtype=np.int64)
     del found
-    big_omega = omega + extra
-    k = omega - sq
-    tau = np.left_shift(1, k, dtype=np.int64)
-    tau *= c_tau
-    tau_n2 = _POW3[k]
-    tau_n2 *= c_tau2
-    return tau_n2, tau, omega, big_omega
-
-
-def denominators(fid, stats):
-    """int64 array of 1/f(n) from the arrays (tau_n2, tau, omega, big_omega)."""
-    fs = spec(fid)
-    return fs.from_statistic(stats[STATISTICS.index(fs.statistic)].astype(np.int64))
+    k = (omega - squares).astype(np.int64)
+    for fid in fids:
+        dens[fid] *= recip[fid][1] ** k
+    return SegmentFactors(
+        omega=omega, big_omega=omega + extra, tau=2**k * tau_sq,
+        tau_n2=3**k * tau2_sq, code=code, dens=dens)
 
 
 # ---------------------------------------------------------------------------

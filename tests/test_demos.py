@@ -22,3 +22,16 @@ def test_constants_walkthrough_runs():
     # two Gamma routes to K_n agree
     done = run_demo("constants_pipeline_walkthrough.py")
     assert done.returncode == 0, done.stderr
+
+
+def test_full_range_check_runs():
+    # it sums f1 over n <= 1e8 with the segment sieve on four threads
+    done = run_demo("full_range_mean_value_check.py")
+    assert done.returncode == 0, done.stderr
+    assert "100000000" in done.stdout
+
+
+def test_perron_scan_runs():
+    done = run_demo("perron_truncation_scan.py")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("fitted log-log slope") == 2

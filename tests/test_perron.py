@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import denominators, on_fresh_thread, zeta_terms
+from oracles import on_fresh_thread, segment_stats_loop, zeta_terms
 from shortmean import zeta
 from shortmean.constants import ln_G_hp
 from shortmean.functions import ALL_FNS, MultFnId
@@ -23,22 +23,22 @@ from shortmean.perron import (
     perron_truncated,
 )
 from shortmean.eulerform import euler_form
-from shortmean.sieve import _segment_stats, interval_sum, primes_up_to
+from shortmean.sieve import interval_sum, primes_up_to
 
 
-def dirichlet_sum(fid, s, stats):
-    """sum f(n) n^{-s} over n = 1..N, stats = _segment_stats(1, N, .)."""
-    coef = 1.0 / denominators(fid, stats)
+def dirichlet_sum(s, dens):
+    """sum f(n) n^{-s} over n = 1..N, given dens[n-1] = 1/f(n)."""
+    coef = 1.0 / dens
     n = np.arange(1, len(coef) + 1, dtype=float)
     return complex(np.sum(coef * np.exp(-s * np.log(n))))
 
 
 def test_F_eval_matches_dirichlet_sum_at_two():
     limit = 200000
-    # shared by both functions
-    stats = _segment_stats(1, limit, primes_up_to(math.isqrt(limit)))
-    for fid in (MultFnId.INV_TWO_OMEGA, MultFnId.INV_TWO_BIG_OMEGA):
-        direct = dirichlet_sum(fid, 2.0 + 0j, stats)
+    fids = (MultFnId.INV_TWO_OMEGA, MultFnId.INV_TWO_BIG_OMEGA)
+    dens = segment_stats_loop(1, limit, primes_up_to(math.isqrt(limit)), fids).dens
+    for fid in fids:
+        direct = dirichlet_sum(2.0 + 0j, dens[fid])
         val = complex(F_eval(fid, np.array([2.0 + 0j]))[0])
         # Dirichlet tail at sigma=2 is below sum_{n>limit} n^{-2} ~ 1/limit
         assert abs(val - direct) < 2.0 / limit

@@ -2,14 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import denominators, f_value, factorize, segment_stats_loop
+from oracles import f_value, factorize, segment_stats_loop, signature_code
 from shortmean import sieve
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
@@ -165,17 +165,56 @@ def test_random_windows_match_brute_force(x, h):
 def test_segment_stats_match_factorize(lo, hi):
     # windows from (281, 290) on are narrower than their largest base
     # prime, which then has at most one multiple in the window
-    tau_n2, tau, omega, big_omega = _segment_stats(
-        lo, hi, primes_up_to(isqrt(hi)))
-    assert [a.dtype for a in (tau_n2, tau, omega, big_omega)] == [
-        np.int64, np.int64, np.int16, np.int16]
+    omega, code = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    assert (omega.dtype, code.dtype) == (np.int16, np.int32)
     for i, n in enumerate(range(lo, hi + 1)):
         fac = factorize(n)
-        exps = [r for _, r in fac.factors]
-        assert tau_n2[i] == prod(2 * r + 1 for r in exps), n
-        assert tau[i] == prod(r + 1 for r in exps), n
-        assert omega[i] == fac.omega, n
-        assert big_omega[i] == fac.big_omega, n
+        squares = sorted(r for _, r in fac.factors if r >= 2)
+        assert (omega[i], code[i]) == (fac.omega, signature_code(squares)), n
+        w, exps = sieve._signature(int(code[i]) << 4 | int(omega[i]))
+        assert (w, list(exps)) == (fac.omega, squares), n
+
+
+def exponent_multisets(limit):
+    """Each multiset of exponents e >= 2 of some n <= limit, as a tuple.
+
+    Its least n puts the largest exponent on 2, the next on 3, and so on.
+    """
+    primes = primes_up_to(100).tolist()
+    out = []
+
+    def extend(exps, n):
+        out.append(tuple(exps))
+        p = primes[len(exps)]
+        for e in range(2, exps[-1] + 1 if exps else 53):
+            if n * p**e > limit:
+                break
+            extend(exps + [e], n * p**e)
+
+    extend([], 1)
+    return out
+
+
+def test_signature_codes_are_distinct_and_decode():
+    sigs = exponent_multisets(SIEVE_MAX_POINT)
+    assert len(sigs) == 5057
+    codes = {signature_code(sig): sig for sig in sigs}
+    assert len(codes) == len(sigs)  # no two multisets share a code
+    top = max(codes)
+    assert (top, codes[top]) == (38_599, (11, 6, 6, 6))
+    assert top << 4 | 13 < 2**31  # omega <= 13 below the cap: fits int32
+    for code, sig in codes.items():
+        omega = len(sig) + 3  # three more primes that divide n once
+        assert sieve._signature(code << 4 | omega) == (omega, tuple(sorted(sig))), sig
+
+
+def test_largest_signature_code_in_a_narrow_window():
+    n = 2**11 * 3**6 * 5**6 * 7**6
+    assert n < SIEVE_MAX_POINT
+    lo = n - 20
+    assert_equal_to_loop(lo, lo + 40)
+    omega, code = _segment_stats(lo, lo + 40, primes_up_to(isqrt(lo + 40)))
+    assert (omega[20], code[20]) == (4, 38_599)
 
 
 _NEAR_SEGMENT = st.builds(
@@ -197,8 +236,8 @@ def test_interval_sums_are_additive(x, h1, h2):
 
 def assert_equal_to_loop(lo, hi):
     base = primes_up_to(isqrt(hi))
-    got, want = _segment_stats(lo, hi, base), segment_stats_loop(lo, hi, base)
-    for name, a, b in zip(("tau_n2", "tau", "omega", "big_omega"), got, want):
+    (omega, code), want = _segment_stats(lo, hi, base), segment_stats_loop(lo, hi, base)
+    for name, a, b in (("omega", omega, want.omega), ("code", code, want.code)):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
 
@@ -270,17 +309,53 @@ def test_scatter_peak_memory_is_bounded_by_the_width():
 @pytest.mark.parametrize("lo, hi", [
     (1, SEGMENT_WIDTH),
     (10**10 + 1, 10**10 + SEGMENT_WIDTH),
-    (10**10 + 1, 10**10 + 300),  # values beyond the width: the sort path
+    (10**10 + 1, 10**10 + 300),  # keys beyond the width: the sort path
 ])
 def test_denominator_counts_equal_a_sort_of_each_denominator(lo, hi):
-    stats = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    base = primes_up_to(isqrt(hi))
     fids = ALL_FNS + ("inv_tau",)
-    counts = _denominator_counts(stats, fids)
+    counts = _denominator_counts(_segment_stats(lo, hi, base), fids)
     assert list(counts) == list(fids)
+    want = segment_stats_loop(lo, hi, base, fids).dens
     for fid in fids:
-        uniq, n = np.unique(denominators(fid, stats), return_counts=True)
+        uniq, n = np.unique(want[fid], return_counts=True)
         assert counts[fid] == dict(zip(uniq.tolist(), n.tolist())), fid
         assert all(type(d) is int for d in counts[fid]), fid
+
+
+def test_narrow_windows_count_keys_by_sort(monkeypatch):
+    # a 300-wide window's largest key is above 300, so bincount would
+    # allocate more bins than the window has integers
+    lo, hi = 10**10 + 1, 10**10 + 300
+    omega, code = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    assert (int(code.max()) << 4) > hi - lo + 1
+    calls = []
+    monkeypatch.setattr(sieve.np, "bincount", lambda *a: calls.append(a))
+    sieve._value_counts(np.left_shift(code, 4, dtype=np.intp) | omega)
+    assert calls == []
+
+
+# what each denominator was computed from before the signature code
+STATISTIC_ROUTE = {
+    MultFnId.INV_TAU_SQ: lambda st: st.tau_n2,
+    MultFnId.INV_TAU_SQUARED: lambda st: st.tau**2,
+    MultFnId.INV_TWO_OMEGA: lambda st: 2 ** st.omega.astype(np.int64),
+    MultFnId.INV_TWO_BIG_OMEGA: lambda st: 2 ** st.big_omega.astype(np.int64),
+    "inv_tau": lambda st: st.tau,
+}
+
+
+@pytest.mark.parametrize("x", [
+    0, 10**10, 10**15 + 12345, SIEVE_MAX_POINT - 4 * SEGMENT_WIDTH - 1])
+def test_denominator_counts_equal_the_statistic_route(x):
+    lo, hi = x + 1, x + SEGMENT_WIDTH
+    base = primes_up_to(isqrt(hi))
+    counts = _denominator_counts(_segment_stats(lo, hi, base), list(STATISTIC_ROUTE))
+    want = segment_stats_loop(lo, hi, base, list(STATISTIC_ROUTE))
+    for fid, route in STATISTIC_ROUTE.items():
+        assert np.array_equal(route(want), want.dens[fid]), fid
+        uniq, n = np.unique(route(want), return_counts=True)
+        assert counts[fid] == dict(zip(uniq.tolist(), n.tolist())), fid
 
 
 def test_interval_sum_counts_its_own_function_only(monkeypatch):
