@@ -9,7 +9,8 @@ where P_tail(z) = P(z) - sum_{p <= P0} p^{-z} is the prime zeta tail.
 Splitting off the small primes makes the n-series tail decay like
 P0^{-n Re s}, so the truncation at order M leaves a bound that is tiny
 and is carried along explicitly as an error budget.  That bound depends
-only on Re s, M and the g_n (`_ln_G_tail_bound`).
+only on Re s, M and the g_n (`_ln_G_tail_bound`).  Each small prime's
+local factor F_p(X) = sum_k f(p^k) X^k is summed from `local_value`.
 
 Each P(n s) is the Mobius-log series sum_k mu(k)/k * log zeta(k n s).
 One ln G evaluation shares its log zeta(m s), m = k n, across all n:
@@ -26,17 +27,19 @@ u from real-argument data only and takes its exp:
 
     a ln w(1-u),      w(s) = (s-1) zeta(s);
     b ln zeta(2-2u);
-    ln G_p(1-u), p <= P0, from sum_k f(p^k) p^{-k} e^{k u ln p} and the
-                      logs of 1 - X and 1 - X^2, X = p^{-1} e^{u ln p};
     sum_{p > P0} ln G_p(1-u) = sum_m c_m ln zeta_{>P0}(m - m u),
 
 with c_m = sum_{n | m, n >= 3} g_n mu(m/n)/(m/n) and ln zeta_{>P0}(w) =
-ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  The series of w(1-u) and of
-every zeta(m - m u) come from one call of `zeta.zeta_series_hp`, a real
-Euler-Maclaurin on series in u with a bound on each coefficient.  The
-series arithmetic is that of `powerseries`.  The cuts in k and m, the
-zeta series' bounds and the rounding make an error bound on each
-coefficient of ln Pi, carried through exp.
+ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  Each prime p <= P0 then
+gives ln F_p(X) + sum_k e_k X^k at X = p^{-1} e^{u ln p}: the one series
+log of sum_k f(p^k) p^{-k} e^{k u ln p}, plus the exact X^k coefficients
+e_k of a ln(1 - X) + b ln(1 - X^2) + sum_m c_m ln(1 - X^m).  The series
+of w(1-u) and of every zeta(m - m u) come from one call of
+`zeta.zeta_series_hp`, a real Euler-Maclaurin on series in u with a
+bound on each coefficient.  The series arithmetic is that of
+`powerseries`.  The cuts in k and m, the zeta series' bounds and the
+rounding make an error bound on each coefficient of ln Pi, carried
+through exp.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .eulerform import EulerForm, euler_form, local_series
-from .functions import MultFnId, local_value, spec
+from .functions import MultFnId, local_value
 from .powerseries import (
     exp_coeffs,
     exp_linear_coeffs,
@@ -74,13 +77,28 @@ DEFAULT_P0 = 100
 # ---------------------------------------------------------------------------
 # ln G_p(s) = ln F_p(X) + a ln(1-X) + b ln(1-X^2), X = p^{-s}
 
-def _ln_G_p_hp(ef: EulerForm, X):
-    """ln G_p at X = p^{-s}, working precision."""
-    return (
-        mp.log(spec(ef.fid).factor_hp(X))
-        + mpf(ef.a.numerator) / ef.a.denominator * mp.log(1 - X)
-        + mpf(ef.b.numerator) / ef.b.denominator * mp.log(1 - X * X)
-    )
+def _ln_G_p_hp(ef: EulerForm, small):
+    """sum of ln G_p over the X = p^{-s} in `small`, at working precision.
+
+    F_p(X) = sum_k f(p^k) X^k is summed by Horner from `local_value`,
+    through the K where |X|^{K+1} / (1 - |X|) < 10^-(dps+5): every
+    f(p^k) <= 1, so that bounds the terms dropped.  The f(p^k) become mpf
+    once per call.
+    """
+    log_tol = -(mp.dps + 5) * math.log(10)
+    cuts = []
+    for X in small:
+        x = float(abs(X))
+        cuts.append(max(1, math.floor((log_tol + math.log(1 - x)) / math.log(x))))
+    local = [_q(local_value(ef.fid, k)) for k in range(max(cuts) + 1)]
+    a, b = _q(ef.a), _q(ef.b)
+    total = mpf(0)
+    for X, K in zip(small, cuts):
+        acc = mpf(0)
+        for k in range(K, 0, -1):
+            acc = (acc + local[k]) * X
+        total += mp.log(1 + acc) + a * mp.log(1 - X) + b * mp.log(1 - X * X)
+    return total
 
 
 def _q(frac):
@@ -128,9 +146,7 @@ def ln_G_hp(ef: EulerForm, s):
         raise ValueError("Re s too small for the truncation bound to close")
     M = _ln_G_order(ef, sigma)
     small = [mp.power(int(p), -s) for p in primes_up_to(DEFAULT_P0)]
-    total = mpf(0)
-    for X in small:
-        total = total + _ln_G_p_hp(ef, X)
+    total = _ln_G_p_hp(ef, small)
     pows = [x * x * x for x in small]
     # kmax of the Mobius series is largest at the smallest n
     mu = _mobius_upto(_prime_zeta_kmax(float((3 * s).real)))
@@ -210,10 +226,6 @@ def _series_exp(l):
     """Taylor coefficients of exp l(u)."""
     e0 = mp.exp(l[0])
     return [e0 * x for x in exp_coeffs([l[0] * 0] + l[1:])]
-
-
-def _one_minus(c):
-    return [1 - c[0]] + [-x for x in c[1:]]
 
 
 def _log_bound_exp_terms(log_base, log_lam, N):
@@ -321,55 +333,70 @@ class _LogSum:
             self.size[j] += abs(x)
 
 
-def _add_small_primes(lnpi, ef, N, log_tol):
-    """Add ln G_p(1-u), p <= P0, to lnpi; return the bound of the k cuts.
+def _small_prime_log_coeffs(ef, c, K):
+    """e_k, k = 0..K (exact): the X^k coefficient of a ln(1 - X)
+    + b ln(1 - X^2) + sum_m c_m ln(1 - X^m), with c = _large_prime_coeffs,
 
-    ln G_p = ln F_p + a ln(1 - X) + b ln(1 - X^2) at X = p^{-1} e^{u ln p},
-    with F_p = sum_{k <= K} f(p^k) p^{-k} e^{k u ln p}.
+        e_k = -(a + [2 | k] 2b + sum_{m | k} m c_m) / k.
     """
-    a, b = _q(ef.a), _q(ef.b)
-    cuts = {p: _local_cut(p, N, log_tol) for p in primes_up_to(DEFAULT_P0).tolist()}
-    local = [_q(local_value(ef.fid, k)) for k in range(cuts[2][0] + 1)]
+    ms = [m for m in range(3, len(c)) if c[m]]
+    e = [Fraction(0)]
+    for k in range(1, K + 1):
+        even = 2 * ef.b if k % 2 == 0 else 0
+        e.append(-(ef.a + even + sum(m * c[m] for m in ms if k % m == 0)) / k)
+    return e
+
+
+def _add_small_primes(lnpi, ef, c, N, log_tol):
+    """Add the primes p <= P0 of ln G(1-u) and of every c_m ln zeta_{>P0}
+    to lnpi; return the bound of the k cuts.
+
+    At X = p^{-1} e^{u ln p} that is ln F_p(X) + sum_k e_k X^k, with
+    F_p = sum_{k <= K} f(p^k) X^k taken through one series log and the
+    e_k of `_small_prime_log_coeffs` added term by term.  Each |e_k| is at
+    most E = |a| + |b| + sum_m |c_m|, since m <= k for every m | k (m = 1
+    for a, 2 for b), so one cut at tol / max(1, E) serves both: the
+    dropped e_k add E t_j to the bound, and the dropped f(p^k) go through
+    the log of F_p.
+    """
+    E = float(abs(ef.a) + abs(ef.b) + sum(abs(x) for x in c))
+    cuts = {p: _local_cut(p, N, log_tol - math.log(max(1.0, E)))
+            for p in primes_up_to(DEFAULT_P0).tolist()}
+    top = max(K for K, _ in cuts.values())
+    local = [_q(local_value(ef.fid, k)) for k in range(top + 1)]
+    e = [_q(x) for x in _small_prime_log_coeffs(ef, c, top)]
     eps = [0.0] * (N + 1)
     for p, (K, tail) in cuts.items():
         lnp = mp.log(p)
         F = [mpf(0)] * (N + 1)
         p_k = mpf(1)
         for k in range(K + 1):
-            for j, x in enumerate(exp_linear_coeffs(local[k] * p_k, k * lnp, N)):
-                F[j] += x
+            X_k = exp_linear_coeffs(p_k, k * lnp, N)
+            for j, x in enumerate(X_k):
+                F[j] += local[k] * x
+            lnpi.add(e[k], X_k)
             p_k /= p
         lnF = _series_log(F)
         lnpi.add(1, lnF)
-        for coef, k in ((a, 1), (b, 2)):  # a ln(1 - X), b ln(1 - X^2)
-            X_k = exp_linear_coeffs(mpf(1) / p**k, k * lnp, N)
-            lnpi.add(coef, _series_log(_one_minus(X_k)))
-        eps = [e + x for e, x in zip(eps, _log_of_cut(lnF, tail))]
+        eps = [x + y + E * t for x, y, t in zip(eps, _log_of_cut(lnF, tail), tail)]
     return eps
 
 
-def _add_zeta_factors(lnpi, ef, N, log_tol):
-    """Add sum_{m <= M} c_m ln zeta_{>P0}(m - m u) to lnpi, and with it
-    a ln w(1-u) and b ln zeta(2-2u): one zeta_series_hp call serves all.
+def _add_zeta_factors(lnpi, ef, c, N):
+    """Add a ln w(1-u), b ln zeta(2-2u) and c_m ln zeta(m - m u), m >= 3,
+    to lnpi: one zeta_series_hp call serves all.
 
-    Returns the number of m with c_m != 0 and the bound of the m cut
-    plus that of every zeta series.
+    Returns the number of m with c_m != 0 and the bound of every zeta
+    series, carried through its log.
     """
-    M, eps = _large_prime_cut(ef, N, log_tol)
-    c = _large_prime_coeffs(ef, M)
-    ms = [m for m in range(3, M + 1) if c[m]]
+    ms = [m for m in range(3, len(c)) if c[m]]
     zs = zeta_series_hp([1, 2] + ms, N)
-    terms = [(_q(ef.a), 1), (_q(ef.b), 2)] + [(_q(c[m]), m) for m in ms]
-    small = [(mpf(p), mp.log(p)) for p in primes_up_to(DEFAULT_P0).tolist()]
-    for coef, m in terms:
+    eps = [0.0] * (N + 1)
+    for coef, m in [(_q(ef.a), 1), (_q(ef.b), 2)] + [(_q(c[m]), m) for m in ms]:
         z, bound = zs[m]
         lnz = _series_log(z)
         lnpi.add(coef, lnz)
         eps = [e + abs(float(coef)) * x for e, x in zip(eps, _log_of_cut(lnz, bound))]
-        if m > 2:
-            for p, lnp in small:
-                X_m = exp_linear_coeffs(p**-m, m * lnp, N)
-                lnpi.add(coef, _series_log(_one_minus(X_m)))
     return len(ms), eps
 
 
@@ -378,25 +405,27 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
 
     Every piece of ln Pi is a real Taylor series at u = 0 (see the module
     docstring); exp of their sum gives the Pi_n.  The error budget bounds
-    max_n |Pi_n| error: the dropped local terms k > K (carried through
-    their log), the dropped m > M, the Euler-Maclaurin remainder of each
-    zeta series (carried through its log), and rounding, each a bound
-    eps_j on coefficient j of ln Pi, carried through exp by the majorant
-    exp(|ln Pi|) (exp(eps) - 1).  The Pi_n carry _GUARD_DPS digits above
-    CONSTANTS_DPS or mp.dps, whichever is more; the K_n are rounded to
-    that precision.  `nodes` counts the real points at which zeta is
-    expanded in u by `zeta_series_hp`: s = 1 (for w), s = 2 and each m
-    with c_m != 0.
+    max_n |Pi_n| error: the dropped local terms k > K (those of F_p
+    carried through its log), the dropped m > M, the Euler-Maclaurin
+    remainder of each zeta series (carried through its log), and
+    rounding, each a bound eps_j on coefficient j of ln Pi, carried
+    through exp by the majorant exp(|ln Pi|) (exp(eps) - 1).  The Pi_n
+    carry _GUARD_DPS digits above CONSTANTS_DPS or mp.dps, whichever is
+    more; the K_n are rounded to that precision.  `nodes` counts the real
+    points at which zeta is expanded in u by `zeta_series_hp`: s = 1 (for
+    w), s = 2 and each m with c_m != 0.
     """
     if not 0 <= N <= 8:
         raise ValueError("need 0 <= N <= 8")
     with mp.workdps(max(mp.dps, CONSTANTS_DPS)), mp.extradps(_GUARD_DPS):
         log_tol = -mp.dps * math.log(10)
         lnpi = _LogSum(N)
-        k_cut = _add_small_primes(lnpi, ef, N, log_tol)
-        used, m_cut = _add_zeta_factors(lnpi, ef, N, log_tol)
-        eps = [k + m + _ROUNDING_ULPS * mp.eps * z
-               for k, m, z in zip(k_cut, m_cut, lnpi.size)]
+        M, m_cut = _large_prime_cut(ef, N, log_tol)
+        c = _large_prime_coeffs(ef, M)
+        k_cut = _add_small_primes(lnpi, ef, c, N, log_tol)
+        used, z_cut = _add_zeta_factors(lnpi, ef, c, N)
+        eps = [k + m + z + _ROUNDING_ULPS * mp.eps * r
+               for k, m, z, r in zip(k_cut, m_cut, z_cut, lnpi.size)]
 
         Pi = _series_exp(lnpi.value)
         # |exp(l + d) - exp(l)| <= exp(|l|) (exp(|d|) - 1), coefficientwise

@@ -9,15 +9,13 @@ depends only on the exponent k:
     f4(p^k) = 2^{-k}        (2^{-Omega(n)})
 
 The value at n = 1 is the empty product, 1.  `spec(fid)` holds the
-rule of each function together with the forms derived from it.  Every
+rule of each function, and every per-function formula elsewhere is
+derived from it.  Every
 f(p^k) is 1/integer, so the sieve counts the integer denominators 1/f(n),
-each taken from `local` and the exponents of n.  The Taylor series of
-`constants.pi_taylor` sum the local series from `local` too, and double
-precision needs no closed form, since `perron.ln_G_line` sums ln G_p
-from the Euler form's g_n.  The one closed form is `factor_hp`, the
-local factor F_p at working precision, for the small primes of
-`constants.ln_G_hp`: only `pi_function` calls that, at u = 0 for the
-Ramanujan constant A0 and, in the tests, on the circle quadrature.
+each taken from `local` and the exponents of n.  No local factor has a
+closed form: the Taylor series of `constants.pi_taylor` and the small
+primes of `constants.ln_G_hp` sum F_p(X) = sum_k f(p^k) X^k from `local`
+too, and `perron.ln_G_line` sums ln G_p from the Euler form's g_n.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-from mpmath import mp
 
 
 class MultFnId(enum.Enum):
@@ -47,47 +43,30 @@ ALL_FNS = tuple(MultFnId)
 
 @dataclass(frozen=True)
 class FnSpec:
-    """One function's local rule and the forms derived from it.
+    """One function's local rule, and the flag its Euler form carries.
 
     Every per-function formula lives here, so no other module branches
-    on which function it is given.  `factor_hp` is the only closed form;
-    every other local quantity is derived from `local`.
+    on which function it is given: every local quantity is derived from
+    `local`.
     """
 
     local: Callable        # k -> f(p^k) = 1/integer as a Fraction, for k >= 1
-    factor_hp: Callable    # X -> F_p(X) = sum_k f(p^k) X^k at working precision
     flag: str | None = None  # where a derived exponent disagrees with a display
 
 
-def _f1_hp(X):
-    z = mp.sqrt(X)
-    return mp.atanh(z) / z  # sum X^k/(2k+1)
-
-
 _SPECS = {
-    MultFnId.INV_TAU_SQ: FnSpec(
-        local=lambda k: Fraction(1, 2 * k + 1),
-        factor_hp=_f1_hp,
-    ),
+    MultFnId.INV_TAU_SQ: FnSpec(local=lambda k: Fraction(1, 2 * k + 1)),
     MultFnId.INV_TAU_SQUARED: FnSpec(
         local=lambda k: Fraction(1, (k + 1) ** 2),
-        factor_hp=lambda X: mp.polylog(2, X) / X,  # sum X^k/(k+1)^2
         flag="zeta2s-exponent: derived -13/288 (display prints 19/244)",
     ),
     MultFnId.INV_TWO_OMEGA: FnSpec(
         local=lambda k: Fraction(1, 2),
-        factor_hp=lambda X: (1 - X / 2) / (1 - X),
         flag="zeta2s-exponent-sign: derived +1/8 (display prints -1/8)",
     ),
-    MultFnId.INV_TWO_BIG_OMEGA: FnSpec(
-        local=lambda k: Fraction(1, 2**k),
-        factor_hp=lambda X: 1 / (1 - X / 2),
-    ),
+    MultFnId.INV_TWO_BIG_OMEGA: FnSpec(local=lambda k: Fraction(1, 2**k)),
     # 1/tau(n), for the Ramanujan constant cross-check only
-    "inv_tau": FnSpec(
-        local=lambda k: Fraction(1, k + 1),
-        factor_hp=lambda X: -mp.log(1 - X) / X,  # sum X^k/(k+1)
-    ),
+    "inv_tau": FnSpec(local=lambda k: Fraction(1, k + 1)),
 }
 
 

@@ -1,7 +1,7 @@
 """Prime table, segmented factorization sieve and exact interval sums.
 
 The only module that sieves: `primes_up_to` keeps one table of primes, and
-the smallest prime factors and Mobius values are built from its slices.
+the Mobius values are built from its slices.
 
 Ground truth for every asymptotic claim: S_j(x;h) = sum_{x < n <= x+h} f_j(n)
 computed exactly.  The fast path never materializes factorizations:
@@ -74,14 +74,6 @@ def primes_up_to(limit: int) -> np.ndarray:
             table = _prime_cache[top]
         _prime_cache[limit] = table[: np.searchsorted(table, limit, side="right")]
     return _prime_cache[limit]
-
-
-def _spf_upto(n):
-    """int64 spf[k] = smallest prime factor of k <= n (spf[0] = 0, spf[1] = 1)."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in primes_up_to(isqrt(n))[::-1].tolist():  # smallest p writes last
-        spf[p * p :: p] = p
-    return spf
 
 
 def _mobius_upto(kmax):
@@ -241,6 +233,11 @@ def _denominator_counts(stats, fids):
     key = np.left_shift(code, 4, dtype=np.intp)
     key |= omega
     keys = _value_counts(key)
+    # free the key before the process-wide memos below grow: a dict table
+    # resized while the key is live can be placed above it on the heap,
+    # and malloc returns only the top of the heap, so the key's memory
+    # would stay resident for the rest of the process
+    del key
     out = {}
     for fid in fids:
         memo, local = _DENOMINATORS.setdefault(fid, {}), spec(fid).local

@@ -1,23 +1,22 @@
-"""Riemann zeta evaluation: Euler-Maclaurin in double and extended precision.
+"""Riemann zeta evaluation: double-precision grids, mpmath points and
+real power series in extended precision.
 
-Three evaluators share one algorithm:
-
-  * `zeta_many` - numpy-vectorized double precision for critical-line and
-    vertical-line scans (|t| up to T_MAX).  Its argument is a grid whose rows
-    are complex shifts of one another, s[k] = s[0] + d_k: equal quadrature
-    panels with the same nodes, or any 1-D array taken as one column.
-    Every direct sum, here and in `perron.ln_G_line`, goes through one
-    kernel, `_dirichlet_grid` (multi-evaluation after Odlyzko-Schoenhage):
-    in each block of 64 rows a term is the product of its exponential at
-    the block's first row and that of its row's shift, summed by one
-    matrix product.  The row-shift exponentials are computed once per
-    grid: each thread holds the last block's table, and a block with the
-    same shifts reuses it, computing only the columns a larger N adds.
-    `zeta_em` evaluates one such block;
-  * `zeta_hp` - mpmath arbitrary precision for the constants pipeline
-    (small |t|, 50+ significant digits).  Its Dirichlet terms n^{-s} are
-    completely multiplicative, so mp.power runs only at primes and a
-    composite n takes p^{-s} * (n/p)^{-s}, p its smallest prime factor;
+  * `zeta_many` - numpy-vectorized double-precision Euler-Maclaurin for
+    critical-line and vertical-line scans (|t| up to T_MAX).  Its argument
+    is a grid whose rows are complex shifts of one another,
+    s[k] = s[0] + d_k: equal quadrature panels with the same nodes, or any
+    1-D array taken as one column.  Every direct sum, here and in
+    `perron.ln_G_line`, goes through one kernel, `_dirichlet_grid`
+    (multi-evaluation after Odlyzko-Schoenhage): in each block of 64 rows
+    a term is the product of its exponential at the block's first row and
+    that of its row's shift, summed by one matrix product.  The row-shift
+    exponentials are computed once per grid: each thread holds the last
+    block's table, and a block with the same shifts reuses it, computing
+    only the columns a larger N adds.  `zeta_em` evaluates one such block;
+  * `zeta_hp` - one point at working precision, from mpmath's `mp.zeta`
+    (Borwein's algorithm; P. Borwein, "An efficient algorithm for the
+    Riemann zeta function", 2000).  It serves `constants.pi_function` and
+    the prime zeta below;
   * `zeta_series_hp` - mpmath, on the real axis: the Taylor coefficients
     in u of zeta(m - m u) and of w(1 - u) = (s - 1) zeta(s), from
     Euler-Maclaurin on truncated power series in u, with Backlund's
@@ -39,7 +38,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .powerseries import exp_linear_coeffs
-from .sieve import _mobius_upto, _spf_upto
+from .sieve import _mobius_upto
 
 _EM_K = 36  # Bernoulli correction depth (double precision)
 
@@ -205,70 +204,12 @@ def zeta_many(s):
 
 
 # ---------------------------------------------------------------------------
-# high-precision evaluator (mpmath)
-
-def _dirichlet_powers(s, N):
-    """[n^{-s} for n = 0..N] (entry 0 unused) at the working precision.
-
-    n^{-s} is completely multiplicative, so mp.power runs only at primes;
-    a composite n takes pow[spf(n)] * pow[n // spf(n)] (`sieve._spf_upto`).
-    """
-    spf = _spf_upto(N).tolist()
-    pw = [mpc(0), mpc(1)]
-    for n in range(2, N + 1):
-        p = spf[n]
-        pw.append(mp.power(n, -s) if p == n else pw[p] * pw[n // p])
-    return pw
-
+# one point at working precision (mpmath)
 
 def zeta_hp(s):
-    """Euler-Maclaurin zeta at working precision mp.dps; small |t| only.
-
-    Both the plain Dirichlet sum (large Re s) and the direct part of
-    Euler-Maclaurin take their terms n^{-s} from `_dirichlet_powers`;
-    N^{-s} is the last of them.
-    """
-    s = mpc(s)
-    if s == 1:
-        raise ValueError("zeta pole at s = 1")
-    if s.real > (mp.dps + 5) / 2.2:
-        # plain Dirichlet sum needs only ~10^2.2 terms here
-        nmax = max(2, int(10 ** ((mp.dps + 5) / float(s.real))) + 1)
-        with mp.extradps(10):
-            total = mp.fsum(_dirichlet_powers(s, nmax)[1:])
-        return mpc(total)
-    t = abs(s.imag)
-    N = max(12, int(0.45 * mp.dps + 1.3 * t) + 4)
-    # target accuracy is set by the caller's precision; the extra guard
-    # digits below are working room, not a tighter goal (N is sized for
-    # mp.dps, and asking for more would push past the series' minimum term)
-    eps = mpf(10) ** (-(mp.dps + 5))
-    with mp.extradps(10):
-        pw = _dirichlet_powers(s, N)
-        direct = mp.fsum(pw[1:])
-        n_pow = pw[N]
-        total = direct + n_pow * N / (s - 1) - n_pow / 2
-        term = mp.bernoulli(2) / 2 * s * n_pow / N
-        k = 1
-        prev = abs(term)
-        while True:
-            total += term
-            k += 1
-            term = (
-                term
-                * (s + (2 * k - 3))
-                * (s + (2 * k - 2))
-                * (mp.bernoulli(2 * k) / mp.bernoulli(2 * k - 2))
-                / ((2 * k - 1) * (2 * k))
-                / (N * N)
-            )
-            mag = abs(term)
-            if mag < eps:
-                break
-            if mag > prev:  # divergent regime; N was large enough not to reach it
-                raise ArithmeticError("Euler-Maclaurin corrections diverging")
-            prev = mag
-    return mpc(total)
+    """zeta(s) at working precision mp.dps, from mpmath's `mp.zeta`;
+    ValueError at the pole s = 1."""
+    return mpc(mp.zeta(s))
 
 
 def w_hp(s):

@@ -222,8 +222,8 @@ def G_product_direct(ef: EulerForm, s, limit=10**6):
 
     G_p = F_p(X) (1-X)^a (1-X^2)^b at X = p^{-s}, with F_p - 1 summed from
     the local rule by Horner up to the K where |X|^{K+1}/(1-|X|) < 1e-18
-    (every f(p^k) <= 1 bounds the rest), then taken through log1p.  It uses
-    neither `FnSpec.factor_hp` nor the g_n.  Returns (value, tail_bound);
+    (every f(p^k) <= 1 bounds the rest), then taken through log1p, in
+    double precision and without the g_n.  Returns (value, tail_bound);
     tail_bound covers the dropped p > limit.
     """
     s = complex(s)

@@ -12,10 +12,15 @@ from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
     DEFAULT_P0,
+    _GUARD_DPS,
+    _g_bound,
+    _large_prime_coeffs,
+    _large_prime_cut,
     _ln_G_order,
     _ln_G_p_hp,
     _ln_G_tail_bound,
     _q,
+    _small_prime_log_coeffs,
     gamma_route_K,
     ln_G_hp,
     pi_function,
@@ -25,7 +30,7 @@ from shortmean.constants import (
     ramanujan_A0_product,
     reflection_K,
 )
-from shortmean.eulerform import euler_form
+from shortmean.eulerform import euler_form, local_series
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import primes_up_to
 from shortmean.zeta import prime_zeta_hp
@@ -58,7 +63,7 @@ def test_shared_n_series_matches_per_n_prime_zeta():
             for q in (0, 5, 24):
                 s = 1 - mp.mpf(1) / 8 * mp.expjpi(mp.mpf(q) / 24)
                 lng, _ = ln_G_hp(ef, s)
-                local = mp.fsum(_ln_G_p_hp(ef, mp.power(p, -s)) for p in primes)
+                local = _ln_G_p_hp(ef, [mp.power(p, -s) for p in primes])
                 per_n = mp.fsum(
                     _q(ef.g_at(n))
                     * (prime_zeta_hp(n * s) - mp.fsum(mp.power(p, -n * s) for p in primes))
@@ -103,6 +108,28 @@ def test_pi_taylor_budget_bounds_a_more_precise_run():
         assert pe.error_budget <= 1e-27, fid
         for n in range(5):
             assert abs(pe.Pi[n] - finer.Pi[n]) <= pe.error_budget, (fid, n)
+
+
+def test_small_prime_log_coeffs_cancel_ln_F_through_M():
+    # ln F_p + a ln(1-X) + b ln(1-X^2) = sum_n g_n X^n, and the Mobius
+    # inversion sum_{m | k} m c_m / k = g_k holds once every divisor of k
+    # is at most M, so ln F_p + sum_k e_k X^k starts at X^{M+1}
+    log_tol = -(CONSTANTS_DPS + _GUARD_DPS) * math.log(10)
+    for fid in (*ALL_FNS, "inv_tau"):
+        ef = euler_form(fid)
+        M, _ = _large_prime_cut(ef, 4, log_tol)
+        e = _small_prime_log_coeffs(ef, _large_prime_coeffs(ef, M), M + 1)
+        lnF = local_series(fid, M + 1).log()
+        assert all(lnF[k] + e[k] == 0 for k in range(1, M + 1)), (fid, M)
+        assert lnF[M + 1] + e[M + 1] != 0, (fid, M)
+
+
+def test_g_bound_holds_to_order_150():
+    # _large_prime_cut (|c_m| <= g (1 + ln m)) and the direct product's
+    # tail take g = _g_bound of the default form as a bound on every |g_n|
+    for fid in (*ALL_FNS, "inv_tau"):
+        bound = _g_bound(euler_form(fid))
+        assert all(abs(g) <= bound for g in euler_form(fid, 150).g), fid
 
 
 def test_pi_taylor_constant_term_matches_pi_function():

@@ -20,7 +20,6 @@ from shortmean.sieve import (
     _denominator_counts,
     _mobius_upto,
     _segment_stats,
-    _spf_upto,
     interval_counts,
     interval_sum,
     interval_sums_all,
@@ -66,13 +65,9 @@ def test_primes_up_to_keeps_one_table(monkeypatch):
         assert primes.tolist() == eratosthenes(limit), limit
 
 
-def test_spf_and_mobius_match_trial_division():
+def test_mobius_matches_trial_division():
     n = 2000
-    spf = _spf_upto(n)
     mu = _mobius_upto(n)
-    assert spf[:2].tolist() == [0, 1]
-    for k in range(2, n + 1):
-        assert spf[k] == next(d for d in range(2, k + 1) if k % d == 0), k
     for k in range(1, n + 1):
         fac = factorize(k)
         squarefree = all(r == 1 for _, r in fac.factors)

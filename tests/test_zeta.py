@@ -1,6 +1,6 @@
-"""Zeta evaluators: Euler-Maclaurin double/extended and prime zeta,
-checked against the sawtooth integral representation and the first
-critical-line zero (oracles)."""
+"""Zeta evaluators: double-precision Euler-Maclaurin grids, mpmath
+points, real series in u and prime zeta, checked against the sawtooth
+integral representation and the first critical-line zero (oracles)."""
 
 import math
 import random
@@ -24,7 +24,6 @@ from oracles import (
 )
 from shortmean import zeta as zeta_mod
 from shortmean.zeta import (
-    _dirichlet_powers,
     prime_zeta_hp,
     w_hp,
     zeta_hp,
@@ -277,19 +276,6 @@ def test_prime_zeta_hp_matches_mpmath():
             assert abs(prime_zeta_hp(s) - mp.primezeta(s)) < mp.mpf(10) ** (-25)
     finally:
         mp.dps = old
-
-
-def test_multiplicative_powers_match_mp_power():
-    # zeta_hp builds n^{-s} from p^{-s} by products, at mp.dps + 10 digits;
-    # the products must stay within 10^-(dps+3) of a direct mp.power
-    dps = 30
-    for s in (mp.mpc(2.6, 0.3), mp.mpc(0.9, -0.1), mp.mpc(21, 2)):
-        with mp.workdps(dps), mp.extradps(10):
-            pw = _dirichlet_powers(s, 300)
-            assert len(pw) == 301
-            for n in range(1, 301):
-                ref = mp.power(n, -s)
-                assert abs(pw[n] - ref) <= mp.mpf(10) ** (-(dps + 3)) * abs(ref), (s, n)
 
 
 def test_prime_zeta_domain_error():
