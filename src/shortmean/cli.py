@@ -251,10 +251,8 @@ def _cmd_perron(args):
 
 def _cmd_zeta_moment(args):
     Ts = _floats(args.T, "T")
-    rows = []
-    for T in Ts:
-        m = second_moment(T)
-        rows.append((T, m, m / (T * math.log(T))))
+    rows = [(T, m, m / (T * math.log(T)))
+            for T, m in zip(Ts, second_moment(Ts))]
     if args.format == "csv":
         return csv_report(("T", "moment", "ratio_to_TlnT"), rows)
     if args.format == "svg":

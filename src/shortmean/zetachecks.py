@@ -5,14 +5,14 @@ the subconvex growth exponent constant c = 64/205 of the admissible
 intervals (`asymptotics.admissible_alpha`).
 
 All scans run in double precision through `zeta_many`, whose direct
-sums all go through the shifted-row kernel `zeta._dirichlet_grid`;
-quadrature is Gauss-Legendre on fixed panels with adaptive halving when
-two estimates of a panel disagree by more than 1e-4 relative.  Every
-round of the second moment has panels of one width, so its nodes form
-one grid whose rows are height shifts; the kernel computes those shifts'
-exponentials once and reuses them from block to block, and from the
-8-node grid to the 16-node grid of the same panels.  The arc samples go
-in as one column.
+sums all go through the shifted-row kernel `zeta._dirichlet_grid`.  The
+second moment is one sweep over the gaps between the requested heights:
+16-node Gauss-Legendre on equal panels, with adaptive halving where a
+null rule on the same 16 values estimates an error above 1e-4 relative.
+Every round of a gap has panels of one width, so its nodes form one grid
+whose rows are height shifts; the kernel computes those shifts'
+exponentials once and reuses them from block to block, and across gaps
+of the same panel width.  The arc samples go in as one column.
 """
 
 from __future__ import annotations
@@ -27,66 +27,98 @@ from .zeta import T_MAX, zeta_many
 GROWTH_C = Fraction(64, 205)
 
 # Gauss-Legendre nodes/weights on [-1, 1]
-_GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_values(lows, width, rule):
-    """Critical-line |zeta|^2 at the mapped GL nodes of every panel.
+def _null16():
+    """The GL16 weights minus the interpolatory weights of the 8
+    even-indexed GL16 nodes (solved from int P_k = 2 [k == 0], k < 8).
 
-    Returns (points shape (npanel, nnodes), weights) with the affine map
-    onto [low, low+width] folded into the weights.  The panels share one
-    width, so the points go to zeta_many as one grid of shifted rows.
+    Zero on P_0..P_7, so on a panel's 16 values it estimates the error of
+    that degree-7 rule (Berntsen & Espelid, ACM TOMS 17, 1991).  Built per
+    call, not at import: the first LAPACK solve in a process adds about
+    0.25 MiB of resident memory, which commands that never integrate
+    need not carry.
     """
-    x, w = rule
+    x, w = _GL16
+    null = w.copy()
+    null[::2] -= np.linalg.solve(
+        np.polynomial.legendre.legvander(x[::2], 7).T, 2.0 * np.eye(8)[0])
+    return null
+
+
+def _panel_values(lows, width):
+    """Critical-line |zeta|^2 at the mapped GL16 nodes of every panel,
+    shape (npanel, 16).  The panels share one width, so the points go to
+    zeta_many as one grid of shifted rows."""
+    x, _ = _GL16
     t = lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)
-    return np.abs(zeta_many(0.5 + 1j * t)) ** 2, w * (width / 2.0)
+    return np.abs(zeta_many(0.5 + 1j * t)) ** 2
 
 
 _MOMENT_TOL = 1e-4
 _MAX_HALVINGS = 6
 
 
-def second_moment(T: float, panel_width=0.25) -> float:
-    """int_0^T |zeta(1/2+it)|^2 dt by GL quadrature on panels <= 0.25 wide.
-
-    Each panel is estimated with 8-node and 16-node rules; panels whose two
-    estimates disagree by more than _MOMENT_TOL relative are halved (up to
-    _MAX_HALVINGS rounds) and re-integrated.  T is at most T_MAX, the
-    height up to which `zeta_many` states its accuracy.
-    """
-    if T < 10:
-        raise ValueError("need T >= 10")
-    if T > T_MAX:
-        raise ValueError(f"need T <= {T_MAX:g}")
-    npanel = int(math.ceil(T / panel_width))
-    width = T / npanel
-    lows = np.arange(npanel) * width
-
-    def integrate(lows, width):
-        v8, w8 = _panel_values(lows, width, _GL8)
-        v16, w16 = _panel_values(lows, width, _GL16)
-        est8 = v8 @ w8
-        est16 = v16 @ w16
-        bad = np.abs(est16 - est8) > _MOMENT_TOL * np.maximum(np.abs(est16), 1e-30)
-        return est16, bad
-
+def _gap_moment(lo, hi, panel_width):
+    """int_lo^hi |zeta(1/2+it)|^2 dt on ceil((hi-lo)/panel_width) equal
+    panels, halving those whose null-rule estimate exceeds _MOMENT_TOL
+    relative (up to _MAX_HALVINGS rounds)."""
+    npanel = int(math.ceil((hi - lo) / panel_width))
+    width = (hi - lo) / npanel
+    lows = lo + np.arange(npanel) * width
+    null = _null16()
     total = 0.0
     rounds = 0
     while True:
-        est, bad = integrate(lows, width)
+        half = width / 2.0
+        v = _panel_values(lows, width)
+        est = v @ (_GL16[1] * half)
+        err = np.abs(v @ null) * half
+        bad = err > _MOMENT_TOL * np.maximum(np.abs(est), 1e-30)
         total += float(np.sum(est[~bad]))
         if not bad.any():
             break
         rounds += 1
         if rounds > _MAX_HALVINGS:
-            # accept the finer estimate on the stubborn panels
+            # accept the GL16 estimate on the stubborn panels
             total += float(np.sum(est[bad]))
             break
         lows = np.repeat(lows[bad], 2)
-        lows[1::2] += width / 2.0
-        width /= 2.0
+        lows[1::2] += half
+        width = half
     return total
+
+
+def second_moment(T, panel_width=0.25):
+    """int_0^T |zeta(1/2+it)|^2 dt by GL16 quadrature on panels <= 0.25 wide.
+
+    T is one height (returns a float) or a sequence of heights (returns a
+    list in the order given).  Each gap between consecutive sorted
+    distinct heights, from 0 up, is integrated once on equal panels
+    (`_gap_moment`), and the moments are the gaps' prefix sums; a single
+    T gets the panels of [0, T] alone.  The error estimate of a panel is
+    the null rule `_null16` on its 16 values.  Every height must lie in
+    [10, T_MAX], the range in which `zeta_many` states its accuracy, and
+    is checked before any zeta value.
+    """
+    heights = [float(t) for t in np.atleast_1d(T)]
+    if not heights:
+        raise ValueError("need at least one T")
+    for t in heights:
+        if not t >= 10:
+            raise ValueError("need T >= 10")
+        if t > T_MAX:
+            raise ValueError(f"need T <= {T_MAX:g}")
+    moment = {}
+    lo = total = 0.0
+    for hi in sorted(set(heights)):
+        total += _gap_moment(lo, hi, panel_width)
+        moment[hi] = total
+        lo = hi
+    if np.ndim(T) == 0:
+        return moment[heights[0]]
+    return [moment[t] for t in heights]
 
 
 def gamma_tail_check(lam: float, k: int, gamma: Fraction):

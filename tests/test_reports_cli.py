@@ -192,6 +192,18 @@ def test_cli_json_matches_golden_values(name, argv):
     _assert_close(json.loads(out), want, 1e-10)
 
 
+def test_zeta_moment_rows_in_input_order():
+    # one sweep serves every T; the rows keep the order of --T
+    rc, out = cap(["zeta-moment", "--T", "2000,100,1000"])
+    assert rc == 0
+    golden = json.loads((GOLDEN / "zeta_moment.json").read_text())["rows"]
+    by_T = {row["T"]: row for row in golden}
+    rows = json.loads(out)["rows"]
+    assert [row["T"] for row in rows] == [2000.0, 100.0, 1000.0]
+    for row in rows:
+        _assert_close(row, by_T[row["T"]], 1e-10)
+
+
 def test_capacity_error_exit_2():
     rc, _ = cap(["sum", "--fn", "f1", "--x", str(2**63 - 8), "--h", "6"])
     assert rc == 2

@@ -220,14 +220,17 @@ def test_conjugate_symmetry():
 
 
 def test_zeta_hp_matches_mpmath():
-    old = mp.dps
-    mp.dps = 40
-    try:
-        for s in (mp.mpc(2), mp.mpc(0.75, 10), mp.mpc(3.3, -2.5)):
-            assert abs(zeta_hp(s) - mp.zeta(s)) < mp.mpf(10) ** (-35)
+    # zeta_hp (mp.zeta) against two independent routes: at real integers,
+    # coefficient 0 of the series Euler-Maclaurin; at complex points, the
+    # sawtooth integral representation within its tail bound
+    with mp.workdps(40):
+        for m in (2, 3, 7):
+            (coeffs, _), = zeta_series_hp([m], 0).values()
+            assert abs(zeta_hp(m) - coeffs[0]) < mp.mpf(10) ** (-35), m
+        for s in (complex(0.75, 10), complex(3.3, -2.5)):
+            want, tail = zeta_integral_rep(s, nodes=16)
+            assert abs(complex(zeta_hp(s)) - want) <= tail + 1e-12, s
         assert w_hp(mp.mpc(1)) == 1
-    finally:
-        mp.dps = old
 
 
 @pytest.mark.parametrize("dps", [40, 60])

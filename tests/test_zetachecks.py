@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from numpy.polynomial.legendre import legval
 
 from oracles import growth_envelope
+from shortmean.zeta import T_MAX
 from shortmean.zetachecks import (
+    _GL16,
+    _null16,
     GROWTH_C,
     arc_bounds_check,
     gamma_tail_check,
@@ -43,9 +47,8 @@ def test_second_moment_independent_panel_width():
     assert a == pytest.approx(b, rel=1e-8)
 
 
-def test_second_moment_halving_rounds_on_grid(monkeypatch):
-    # 4-wide panels fail the 8/16-node agreement, so halved panels are
-    # re-integrated; every round reaches zeta_many as one 2-D grid
+def _spy_zeta_many(monkeypatch):
+    """Record the shape of every zeta_many call made by zetachecks."""
     import shortmean.zetachecks as zc
 
     shapes = []
@@ -56,15 +59,56 @@ def test_second_moment_halving_rounds_on_grid(monkeypatch):
         return zeta_many(s)
 
     monkeypatch.setattr(zc, "zeta_many", spy)
+    return shapes
+
+
+def test_second_moment_halving_rounds_on_grid(monkeypatch):
+    # 4-wide panels fail the null-rule test, so halved panels are
+    # re-integrated; every round is one zeta_many call on a 2-D grid of
+    # GL16 rows, and a later round has fewer rows than the first
+    shapes = _spy_zeta_many(monkeypatch)
     halved = second_moment(50.0, panel_width=4.0)
-    assert len(shapes) > 2 and all(len(sh) == 2 for sh in shapes)
+    assert len(shapes) >= 2 and all(len(sh) == 2 for sh in shapes)
+    assert all(sh[1] == 16 for sh in shapes)
+    assert any(sh[0] < shapes[0][0] for sh in shapes[1:])
     monkeypatch.undo()
     assert halved == pytest.approx(second_moment(50.0), rel=1e-8)
 
 
-def test_second_moment_domain():
+def test_second_moment_sweep_matches_per_height_calls():
+    Ts = [2000.0, 100.0, 1000.0, 100.0, 123.4]
+    swept = second_moment(Ts)
+    assert isinstance(swept, list) and len(swept) == len(Ts)
+    for T, m in zip(Ts, swept):
+        assert m == pytest.approx(second_moment(T), rel=1e-13), T
+
+
+def test_second_moment_sweep_integrates_each_gap_once(monkeypatch):
+    # [0, 2000] in 8000 panels of 16 nodes, not 12400 panels for three scans
+    shapes = _spy_zeta_many(monkeypatch)
+    second_moment((100.0, 1000.0, 2000.0))
+    assert sum(math.prod(sh) for sh in shapes) == 128_000
+
+
+def test_null_rule_degree():
+    # zero on Legendre P_0..P_7 to rounding, nonzero on P_8
+    x, _ = _GL16
+    for k in range(9):
+        got = legval(x, [0] * k + [1]) @ _null16()
+        if k < 8:
+            assert abs(got) < 1e-14, k
+        else:
+            assert abs(got) > 1e-3
+
+
+def test_second_moment_domain(monkeypatch):
     with pytest.raises(ValueError):
         second_moment(5.0)
+    shapes = _spy_zeta_many(monkeypatch)
+    for Ts in ([100.0, 5.0], [100.0, 2 * T_MAX], [3e4, 200.0], []):
+        with pytest.raises(ValueError):
+            second_moment(Ts)
+    assert shapes == []
 
 
 def test_gamma_tail_grid_holds():
