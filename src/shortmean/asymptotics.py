@@ -34,6 +34,9 @@ H_THRESHOLD_NOTE = (
     "h-threshold-mismatch: theorem states exp((ln x)^0.1), proof derivation "
     "yields exp(C2 (ln x)^0.8); both reported"
 )
+# C2 of the proof's variant: the derivation leaves it unspecified, and
+# the reported threshold takes it as 1
+PROOF_C2 = 1.0
 
 
 def admissible_alpha(k: int) -> Fraction:
@@ -73,7 +76,7 @@ class HThreshold:
     fid: MultFnId
     alpha: Fraction
     theorem: float  # x^alpha e^{(ln x)^{0.1}}
-    proof: float    # x^alpha e^{C2 (ln x)^{0.8}}
+    proof: float    # x^alpha e^{PROOF_C2 (ln x)^{0.8}}
     note: str = H_THRESHOLD_NOTE
 
     def to_json_dict(self):
@@ -86,7 +89,7 @@ class HThreshold:
         }
 
 
-def h_threshold(fid: MultFnId, x: float, C2: float = 1.0) -> HThreshold:
+def h_threshold(fid: MultFnId, x: float) -> HThreshold:
     """Minimal admissible h, in both printed variants (see H_THRESHOLD_NOTE)."""
     if x < 10:
         raise ValueError("need x >= 10")
@@ -97,7 +100,7 @@ def h_threshold(fid: MultFnId, x: float, C2: float = 1.0) -> HThreshold:
         fid=fid,
         alpha=alpha,
         theorem=math.exp(base + lnx**0.1),
-        proof=math.exp(base + C2 * lnx**0.8),
+        proof=math.exp(base + PROOF_C2 * lnx**0.8),
     )
 
 

@@ -18,12 +18,14 @@ zeta(6s) serves both n = 3 and n = 6.
 
 Pi(u) = G(1-u) * w(1-u)^a * zeta(2-2u)^b, and the expansion constants are
 
-    K_n = (-1)^n Pi_n / Gamma(a - n) = sin(pi a)/pi * Gamma(n+1-a) * Pi_n,
+    K_n = (-1)^n Pi_n / Gamma(a - n) = sin(pi a)/pi * Gamma(n+1-a) * Pi_n.
 
-computed both ways as a consistency check.  `pi_function` evaluates Pi
-at one complex point (A0 uses it at u = 0).  The Taylor coefficients
-Pi_n come from `pi_taylor`, which builds ln Pi as a truncated series in
-u from real-argument data only and takes its exp:
+`pi_taylor` takes the first form (`gamma_route_K`); the tests and the
+constants demo check it against the second (`reflection_K`).
+`pi_function` evaluates Pi at one complex point (A0 uses it at u = 0).
+The Taylor coefficients Pi_n come from `pi_taylor`, which builds ln Pi
+as a truncated series in u from real-argument data only and takes its
+exp:
 
     a ln w(1-u),      w(s) = (s-1) zeta(s);
     b ln zeta(2-2u);
@@ -57,7 +59,7 @@ from .powerseries import (
     exp_coeffs,
     exp_linear_coeffs,
     log_coeffs,
-    log_one_minus_x,
+    log_one_minus_coeffs,
     mul_coeffs,
 )
 from .sieve import _mobius_upto, primes_up_to
@@ -339,11 +341,11 @@ def _small_prime_log_coeffs(ef, c, K):
 
         e_k = -(a + [2 | k] 2b + sum_{m | k} m c_m) / k.
     """
-    ms = [m for m in range(3, len(c)) if c[m]]
-    e = [Fraction(0)]
-    for k in range(1, K + 1):
-        even = 2 * ef.b if k % 2 == 0 else 0
-        e.append(-(ef.a + even + sum(m * c[m] for m in ms if k % m == 0)) / k)
+    e = log_one_minus_coeffs(ef.a, ef.b, K)
+    for m in range(3, len(c)):
+        if c[m]:
+            for k in range(m, K + 1, m):
+                e[k] -= m * c[m] / k
     return e
 
 
@@ -465,10 +467,10 @@ def _eq1_tail_coeffs(order):
     d_1 vanishes; the series starts at 1/p^2, which is what makes the
     direct product converge.
     """
-    series = local_series("inv_tau", order)  # sum t^k/(k+1)
-    lf = series.log() + log_one_minus_x(order).scale(Fraction(1, 2))
-    assert lf[1] == 0
-    return lf.coeffs
+    lf = log_coeffs(local_series("inv_tau", order))  # of sum t^k/(k+1)
+    d = [x + y for x, y in zip(lf, log_one_minus_coeffs(Fraction(1, 2), 0, order))]
+    assert d[1] == 0
+    return d
 
 
 _A0_TAIL_ORDER = 8

@@ -30,19 +30,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .functions import local_value, spec
-from .powerseries import PowerSeriesQ, log_one_minus_x, log_one_minus_x2
+from .powerseries import exp_coeffs, log_coeffs, log_one_minus_coeffs
 
 DEFAULT_ORDER = 24
 
 
-def local_series(fid, order: int) -> PowerSeriesQ:
-    """F_p as a truncated series: coefficient at X^k is f(p^k).
+def local_series(fid, order: int) -> list:
+    """F_p as a truncated series: the coefficient list f(p^k), k = 0..order.
 
     `fid` is a MultFnId or "inv_tau".
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    return PowerSeriesQ([local_value(fid, k) for k in range(order + 1)])
+    return [local_value(fid, k) for k in range(order + 1)]
 
 
 @dataclass(frozen=True)
@@ -95,26 +95,19 @@ def euler_form(fid, order: int = DEFAULT_ORDER) -> EulerForm:
 
 
 def _derive(fid, order):
-    lf = local_series(fid, order).log()
+    lf = log_coeffs(local_series(fid, order))
     a = lf[1]
     b = lf[2] - a / 2
     # ln F_p = -a ln(1-X) - b ln(1-X^2) + sum g_n X^n
-    rest = lf + log_one_minus_x(order).scale(a) + log_one_minus_x2(order).scale(b)
-    g = tuple(rest.coeffs[1:])
+    rest = [x + y for x, y in zip(lf, log_one_minus_coeffs(a, b, order))]
+    g = tuple(rest[1:])
     assert g[0] == 0 and g[1] == 0, "g_1 = g_2 = 0 must hold by construction"
     flag = spec(fid).flag
     flags = (flag,) if flag else ()
     return EulerForm(fid=fid, a=a, b=b, g=g, order=order, flags=flags)
 
 
-def reconstruct_local_series(ef: EulerForm) -> PowerSeriesQ:
+def reconstruct_local_series(ef: EulerForm) -> list:
     """(1-X)^{-a} (1-X^2)^{-b} exp(sum_{n>=3} g_n X^n), truncated."""
-    order = ef.order
-    zeta_part = (
-        log_one_minus_x(order).scale(-ef.a)
-        + log_one_minus_x2(order).scale(-ef.b)
-    )
-    gexp = [Fraction(0)] * (order + 1)
-    for n in range(3, order + 1):
-        gexp[n] = ef.g_at(n)
-    return (zeta_part + PowerSeriesQ(gexp)).exp()
+    zeta_part = log_one_minus_coeffs(-ef.a, -ef.b, ef.order)
+    return exp_coeffs([z + g for z, g in zip(zeta_part, (0, *ef.g))])

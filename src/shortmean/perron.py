@@ -36,9 +36,7 @@ from .eulerform import EulerForm, euler_form
 from .functions import MultFnId
 from .sieve import interval_sum, primes_up_to
 from .zeta import T_MAX, _as_grid, _dirichlet_grid, zeta_many
-
-# Gauss-Legendre 16 on [-1, 1]
-_GLX, _GLW = np.polynomial.legendre.leggauss(16)
+from .zetachecks import _gl16
 
 # ln G on the contour: g_n p^{-ns} over p <= _LNG_CUTOFF[n] for n = 3, 4
 # and p <= _LNG_P0 for n >= 5, keeping the terms with p^{-1.05 n} >= 1e-18
@@ -105,10 +103,11 @@ def _gl16_partials(fid, x, b, lows, highs):
     highs = np.asarray(highs, dtype=float)
     mid = (lows + highs) / 2.0
     half = (highs - lows) / 2.0
-    t = mid[:, None] + half[:, None] * _GLX[None, :]
+    glx, glw = _gl16()
+    t = mid[:, None] + half[:, None] * glx[None, :]
     s = b + 1j * t
     integrand = F_eval(fid, s) * np.exp(s * math.log(x)) / s
-    return (integrand.real @ _GLW) * half / math.pi
+    return (integrand.real @ glw) * half / math.pi
 
 
 def _perron_integrals(fid, x, b, Ts):

@@ -182,12 +182,13 @@ def zeta_em(s):
 def zeta_many(s):
     """Vectorized zeta, shaped like s (at least 1-D), for |Im s| <= T_MAX.
 
-    No error bound is computed (ROADMAP item 3).  Measured against
-    `mp.zeta` at 30 digits, on 30 points in [t, t + 64]: on the
-    critical line, absolute errors up to 3.7e-11 at t near 2e4 and
-    1.3e-11 near 1e4, where the double-precision phases t ln n dominate
-    (relative errors reach 3.7e-10 near zeros); at Re s = 1 + 1/ln 1000.5,
-    at most 2.7e-12 at t near 2e4.
+    No error bound is computed (ROADMAP item 4, "A computed error on
+    every numeric output").  Measured against `mp.zeta` at 30 digits, on
+    30 points in [t, t + 64]: on the critical line, absolute errors up
+    to 3.7e-11 at t near 2e4 and 1.3e-11 near 1e4, where the
+    double-precision phases t ln n dominate (relative errors reach
+    3.7e-10 near zeros); at Re s = 1 + 1/ln 1000.5, at most 2.7e-12 at t
+    near 2e4.
 
     The rows of a 2-D s must be shifts of one another (ValueError
     otherwise); a 1-D s is one column.  Each block of _GRID_ROWS rows is one

@@ -13,10 +13,15 @@ Every round of a gap has panels of one width, so its nodes form one grid
 whose rows are height shifts; the kernel computes those shifts'
 exponentials once and reuses them from block to block, and across gaps
 of the same panel width.  The arc samples go in as one column.
+
+The one 16-node rule, `_gl16`, also serves the Perron panels; it and the
+null rule are built on first use, so commands that integrate nothing
+never build them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -26,24 +31,37 @@ from .zeta import T_MAX, zeta_many
 
 GROWTH_C = Fraction(64, 205)
 
-# Gauss-Legendre nodes/weights on [-1, 1]
-_GL16 = np.polynomial.legendre.leggauss(16)
+
+@functools.cache
+def _gl16():
+    """The 16-node Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    The one rule of the second moment, the Gamma tail and the Perron
+    panels.  Built on first use, not at import: the first `leggauss` call
+    in a process (an eigenvalue solve) adds about 1.7 MiB of resident
+    memory, which commands that never integrate need not carry.
+    """
+    x, w = np.polynomial.legendre.leggauss(16)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
+@functools.cache
 def _null16():
     """The GL16 weights minus the interpolatory weights of the 8
-    even-indexed GL16 nodes (solved from int P_k = 2 [k == 0], k < 8).
+    even-indexed GL16 nodes (solved from int P_k = 2 [k == 0], k < 8),
+    read-only.
 
     Zero on P_0..P_7, so on a panel's 16 values it estimates the error of
-    that degree-7 rule (Berntsen & Espelid, ACM TOMS 17, 1991).  Built per
-    call, not at import: the first LAPACK solve in a process adds about
-    0.25 MiB of resident memory, which commands that never integrate
-    need not carry.
+    that degree-7 rule (Berntsen & Espelid, ACM TOMS 17, 1991).  Built on
+    first use, as `_gl16` is: the first LAPACK solve in a process adds
+    about 0.25 MiB of resident memory.
     """
-    x, w = _GL16
+    x, w = _gl16()
     null = w.copy()
     null[::2] -= np.linalg.solve(
         np.polynomial.legendre.legvander(x[::2], 7).T, 2.0 * np.eye(8)[0])
+    null.flags.writeable = False
     return null
 
 
@@ -51,7 +69,7 @@ def _panel_values(lows, width):
     """Critical-line |zeta|^2 at the mapped GL16 nodes of every panel,
     shape (npanel, 16).  The panels share one width, so the points go to
     zeta_many as one grid of shifted rows."""
-    x, _ = _GL16
+    x, _ = _gl16()
     t = lows[:, None] + (x[None, :] + 1.0) * (width / 2.0)
     return np.abs(zeta_many(0.5 + 1j * t)) ** 2
 
@@ -67,13 +85,14 @@ def _gap_moment(lo, hi, panel_width):
     npanel = int(math.ceil((hi - lo) / panel_width))
     width = (hi - lo) / npanel
     lows = lo + np.arange(npanel) * width
+    _, w = _gl16()
     null = _null16()
     total = 0.0
     rounds = 0
     while True:
         half = width / 2.0
         v = _panel_values(lows, width)
-        est = v @ (_GL16[1] * half)
+        est = v @ (w * half)
         err = np.abs(v @ null) * half
         bad = err > _MOMENT_TOL * np.maximum(np.abs(est), 1e-30)
         total += float(np.sum(est[~bad]))
@@ -132,7 +151,7 @@ def gamma_tail_check(lam: float, k: int, gamma: Fraction):
         raise ValueError("need lam > 1, 0 < gamma < 1, k >= 1")
     expo = k - float(gamma)
     cut = lam + 45.0
-    x, w = _GL16
+    x, w = _gl16()
     npanel = 90  # half-unit panels over [lam, cut]
     width = (cut - lam) / npanel
     lows = lam + np.arange(npanel) * width

@@ -378,9 +378,12 @@ def zeta_integral_rep(s, nodes=8):
     """zeta via 1/2 + 1/(s-1) + s * int_1^oo (1/2 - {u}) u^{-s-1} du.
 
     Panel-per-integer Gauss-Legendre quadrature on [1, M], M =
-    _INTREP_PANELS + 1; the dropped tail is bounded by
-    |s(s+1)| / (8 (sigma+1) M^{sigma+1})
-    (integration by parts; the sawtooth antiderivative is <= 1/8).
+    _INTREP_PANELS + 1.  The tail on [M, oo) is integrated by parts
+    twice: the sawtooth's mean-zero antiderivatives are -B_2({u})/2,
+    which is -1/12 at M and gives the boundary term s M^{-s-1}/12, and
+    -B_3({u})/6, which vanishes at M and is at most sqrt(3)/216 in size.
+    So what is left is bounded by
+    |s(s+1)(s+2)| (sqrt(3)/36) / (6 (sigma+2) M^{sigma+2}).
     Returns (value, tail_bound).
     """
     s = complex(s)
@@ -393,8 +396,10 @@ def zeta_integral_rep(s, nodes=8):
     integrand = rho * np.exp((-s - 1) * np.log(u))
     integral = 0.5 * np.sum(integrand * wg[None, :])
     M = _INTREP_PANELS + 1
-    tail_bound = abs(s * (s + 1)) / (8 * (s.real + 1) * M ** (s.real + 1))
-    val = 0.5 + 1.0 / (s - 1.0) + s * integral
+    boundary = M ** (-s - 1) / 12
+    tail_bound = (abs(s * (s + 1) * (s + 2)) * (math.sqrt(3) / 36)
+                  / (6 * (s.real + 2) * M ** (s.real + 2)))
+    val = 0.5 + 1.0 / (s - 1.0) + s * (integral + boundary)
     return complex(val), float(tail_bound)
 
 

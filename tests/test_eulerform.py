@@ -69,15 +69,14 @@ def test_closed_forms_are_opposite_parity_pair():
         assert g3 == -g4
 
 
-def test_reconstruction_identity_order_12():
+def test_reconstruction_identity_orders_3_to_40():
     # exp(a ln zeta_p + b ln zeta2_p + sum g_n t^n) reproduces the local
     # Dirichlet series of f at p, coefficient by coefficient
-    for fid in ALL_FNS:
-        ef = euler_form(fid, 12)
-        rebuilt = reconstruct_local_series(ef)
-        direct = local_series(fid, 12)
-        for k in range(13):
-            assert rebuilt[k] == direct[k], (fid, k)
+    for fid in (*ALL_FNS, "inv_tau"):
+        for order in range(3, 41):
+            rebuilt = reconstruct_local_series(euler_form(fid, order))
+            assert rebuilt == local_series(fid, order), (fid, order)
+            assert all(type(c) is Fraction for c in rebuilt), (fid, order)
 
 
 def test_g_bound_one_sixth_beyond_smallest_cases():

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,8 @@ import pytest
 
 from shortmean.cli import run
 from shortmean.reports import csv_report, json_report, svg_plot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cap(argv):
@@ -92,6 +96,27 @@ def test_series_reports_exponents_and_flags():
     assert by_fid["f3"]["b"] == "1/8"
     assert any("sign" in f for f in by_fid["f3"]["flags"])
     assert by_fid["f4"]["b"] == "-1/8"
+
+
+def test_sum_and_series_build_no_quadrature_rule():
+    # the GL16 rule is built on first use, so in a fresh interpreter the
+    # commands that integrate nothing never call leggauss
+    code = (
+        "import numpy.polynomial.legendre as legendre\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('leggauss called')\n"
+        "legendre.leggauss = refuse\n"
+        "from shortmean.cli import run\n"
+        "assert run(['sum', '--fn', 'all', '--x', '1000', '--h', '100']) == 0\n"
+        "assert run(['series', '--fn', 'all']) == 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count('"schema"') == 2
 
 
 def test_usage_errors_exit_1():

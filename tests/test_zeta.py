@@ -300,7 +300,7 @@ def test_integral_representation_cross_check():
         if abs(s - 1) < 0.1:
             continue
         val, bound = zeta_integral_rep(s, nodes=16)
-        assert abs(val - zeta(s)) <= max(bound, 1e-6)
+        assert abs(val - zeta(s)) <= bound + 1e-12
 
 
 def test_first_zero_location():

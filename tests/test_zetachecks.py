@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import legval
 from oracles import growth_envelope
 from shortmean.zeta import T_MAX
 from shortmean.zetachecks import (
-    _GL16,
+    _gl16,
     _null16,
     GROWTH_C,
     arc_bounds_check,
@@ -92,7 +92,7 @@ def test_second_moment_sweep_integrates_each_gap_once(monkeypatch):
 
 def test_null_rule_degree():
     # zero on Legendre P_0..P_7 to rounding, nonzero on P_8
-    x, _ = _GL16
+    x, _ = _gl16()
     for k in range(9):
         got = legval(x, [0] * k + [1]) @ _null16()
         if k < 8:
