@@ -7,19 +7,24 @@ Ground truth for every asymptotic claim: S_j(x;h) = sum_{x < n <= x+h} f_j(n)
 computed exactly.  The fast path never materializes factorizations:
 every f(n) here depends only on omega(n) and n's exponents e >= 2, so a
 segment keeps omega(n) and a signature code, the product of r(e) = the
-(e-1)-th prime over the primes with p^2 | n (see _segment_stats).  Base
-primes below SCATTER_MIN_PRIME make two strided updates each.  The
-larger ones have few multiples in a segment, so they are taken in
-blocks and their hits scattered in batches of at most about an eighth
-of the segment's width, which keeps a block's and a batch's arrays
-smaller than one of the segment's own.  Each level p^e, e >= 2, makes
-two strided updates (found and code).  The key code << 4 | omega is
-below 2^20 for n <= 2^52 (omega <= 13, code <= 38 599) and fits int32.
-It is counted once per segment, by bincount when its largest value is
-below the window's width and by a sort otherwise (a narrow window would
-not pay for 618 k bins), and each distinct key is decoded once into the
-denominators of the requested functions only.  The exact rational sum
-is a short sum of count/value terms, cheap even over 10^8 integers.
+(e-1)-th prime over the primes with p^2 | n (see _segment_stats).  omega
+comes from a logarithmic sieve, as in the quadratic sieve: one uint32
+per n counts its base primes p <= sqrt(hi) in the high 16 bits and sums
+their fixed-point logs in the low 16, and a sum well short of log2 n
+marks one more prime factor, above sqrt(hi).  The hits of 2, 3, 5, 7, 11
+and 13 come from one pattern of period 30030 (a pre-sieve).  The other
+base primes below SCATTER_MIN_PRIME make one strided update each.  The
+larger ones have few multiples in a segment, so they are taken in blocks
+and their hits scattered in batches of at most about an eighth of the
+segment's width, which keeps a block's and a batch's arrays smaller than
+the segment's own.  Each level p^e, e >= 2, makes two strided updates
+(the log and the code).  The key code << 4 | omega is below 2^20 for
+n <= 2^52 (omega <= 13, code <= 38 599) and fits int32.  It is counted
+once per segment, by bincount when its largest value is below the
+window's width and by a sort otherwise (a narrow window would not pay
+for 618 k bins), and each distinct key is decoded once into the
+denominators of the requested functions only.  The exact rational sum is
+a short sum of count/value terms, cheap even over 10^8 integers.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt, prod
+from math import isqrt, log2, prod
 
 import numpy as np
 
@@ -90,10 +95,45 @@ def _mobius_upto(kmax):
 
 # r(e) = the (e-1)-th prime, for every exponent 2 <= e <= 52 of n <= 2^52
 _LEVEL_PRIMES = [r for r in range(2, 240) if all(r % d for d in range(2, isqrt(r) + 1))]
-_ONE16 = np.int16(1)  # omega's dtype, for np.add.at's fast path
 # primes in a block, and hits in a run, of _scatter_primes: an eighth of
 # the width, but not so few that narrow windows take many Python steps
 _SCATTER_MIN_RUN = 1 << 13
+
+# a segment's uint32 accumulator: omega(n) in the high 16 bits, a log in the low
+LOG_SCALE = 1024  # fixed-point units of log2
+OMEGA_UNIT = 1 << 16
+PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their hits repeat with period 30030
+_packed = np.empty(0, dtype=np.uint32)  # _packed_hits of the longest table asked
+
+
+def _packed_hits(primes):
+    """OMEGA_UNIT + round(LOG_SCALE * log2 p) for each of `primes`, as uint32.
+
+    `primes` is a prime table, 2, 3, 5, ... in order, like every
+    `primes_up_to` slice.  So the values of the longest table asked for
+    serve every shorter one as a slice, and are built once per table.
+    """
+    global _packed
+    packed = _packed
+    if packed.size < primes.size:
+        packed = np.rint(LOG_SCALE * np.log2(primes)).astype(np.uint32) + OMEGA_UNIT
+        packed.flags.writeable = False  # shared by every later segment
+        _packed = packed
+    return packed[: primes.size]
+
+
+@cache
+def _presieve_pattern():
+    """Accumulator values of n = 0..30029 from the hits of PRESIEVE_PRIMES.
+
+    Every n with the same residue mod 30030 gets the same hits.  Built on
+    first use, not at import.
+    """
+    pattern = np.zeros(prod(PRESIEVE_PRIMES), dtype=np.uint32)
+    for p, v in zip(PRESIEVE_PRIMES, _packed_hits(np.array(PRESIEVE_PRIMES)).tolist()):
+        pattern[::p] += v
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _segment_stats(lo, hi, base_primes):
@@ -108,41 +148,58 @@ def _segment_stats(lo, hi, base_primes):
     so `_denominator_counts`'s key code << 4 | omega is below 2^20 and
     fits int32; `_value_counts` takes bincount for it only when its
     largest value is below the width.  Only the base primes
-    p <= sqrt(hi) are used.  ``found`` collects the part of n made of
-    them, so n has one more prime factor, above sqrt(hi), exactly when
-    found != n.
+    p <= sqrt(hi) are used (`base_primes` is a prime table from 2).
 
-    Each base prime below SCATTER_MIN_PRIME makes two strided updates,
-    omega[s::p] += 1 and found[s::p] *= p.  A larger prime has at most
-    width/SCATTER_MIN_PRIME + 1 multiples here, so one Python step per
-    prime would cost more than its few hits: `_scatter_primes` applies
-    the hits of all of them at once.  The levels p^e, e >= 2, of every
-    prime whose square has a multiple here touch only the multiples of
-    p^e, with two strided updates each: found *= p, and code *= 2 at
-    level 2 or code //= r(e-1) then *= r(e) above it.
+    One uint32 accumulator per n takes OMEGA_UNIT + L(p) at each hit of
+    a base prime p and L(p) = round(LOG_SCALE * log2 p) more at each
+    level p^e, e >= 2, that divides n.  Its high field is then omega
+    over the base primes, and its low field is LOG_SCALE * log2 m, where
+    m is the part of n that they make up, to within delta <= Omega(n)/2
+    <= 26 units.  n has one more prime factor, above sqrt(hi), exactly
+    when m < n, and then m < n / sqrt(hi).  So the low field is at least
+    LOG_SCALE * log2 n - delta when m = n and below LOG_SCALE * (log2 n -
+    log2(hi) / 2) + delta otherwise; the test is against the midpoint,
+    which for every n >= n0 = 2 isqrt(hi) + 2 >= 2 sqrt(hi) may be taken
+    at n0 (the gap there is at least LOG_SCALE, against 2 delta).  The
+    n below n0 each get their own midpoint; a window of at most
+    SEGMENT_WIDTH integers has them only if it starts below about 2.1 k.
+
+    The hits of 2, 3, 5, 7, 11 and 13 come from `_presieve_pattern`,
+    rolled to lo mod 30030: it is the accumulator's first value.  One of
+    them above sqrt(hi) (hi < 169) is no base prime, but it divides each
+    n <= hi at most once, so it counts in omega and m as n's one prime
+    factor above sqrt(hi) should, and the test finds m = n.  Each other
+    base prime below SCATTER_MIN_PRIME makes one strided update.  A
+    larger prime has at most width/SCATTER_MIN_PRIME + 1 multiples here,
+    so one Python step per prime would cost more than its few hits:
+    `_scatter_primes` applies the hits of all of them at once.  The
+    levels p^e, e >= 2, of every prime whose square has a multiple here
+    touch only the multiples of p^e, with two strided updates each:
+    acc += L(p), and code *= 2 at level 2 or code //= r(e-1) then *=
+    r(e) above it.
     """
     width = hi - lo + 1
     top = np.searchsorted(base_primes, isqrt(hi), side="right")
+    packed = _packed_hits(base_primes[:top])
     split = np.searchsorted(base_primes[:top], SCATTER_MIN_PRIME)
-    small = base_primes[:split].tolist()
-    found = np.ones(width, dtype=np.int64)
-    omega = np.zeros(width, dtype=np.int16)
-    code = np.ones(width, dtype=np.int32)
+    small, values = base_primes[:split].tolist(), packed[:split].tolist()
+    pattern = _presieve_pattern()
+    acc = np.resize(np.roll(pattern, -(lo % pattern.size)), width)
 
-    for p in small:
+    for p, v in zip(small[len(PRESIEVE_PRIMES) :], values[len(PRESIEVE_PRIMES) :]):
         start = (-lo) % p
         if start < width:  # only a prime above the width can miss
-            omega[start::p] += 1
-            found[start::p] *= p
-    squared = _scatter_primes(lo, base_primes[split:top], omega, found)
+            acc[start::p] += v
+    squared = _scatter_primes(lo, base_primes[split:top], packed[split:top], acc)
 
-    for p in small + squared:
+    code = np.ones(width, dtype=np.int32)
+    for p, v in list(zip(small, values)) + squared:
         q, e = p * p, 2
         while q <= hi:
             start = (-lo) % q
             if start >= width:
                 break
-            found[start::q] *= p
+            acc[start::q] += v - OMEGA_UNIT
             level = code[start::q]  # a view: the updates land in code
             if e > 2:
                 level //= _LEVEL_PRIMES[e - 3]
@@ -150,35 +207,48 @@ def _segment_stats(lo, hi, base_primes):
             q *= p
             e += 1
 
-    omega += found != np.arange(lo, hi + 1, dtype=np.int64)
+    # in place: temporaries as large as acc raise the sieve's peak memory
+    omega = np.right_shift(acc, 16, out=np.empty(width, dtype=np.int16),
+                           casting="unsafe")
+    acc &= OMEGA_UNIT - 1
+    n0 = max(lo, 2 * isqrt(hi) + 2)
+    head = min(n0 - lo, width)
+    omega[head:] += acc[head:] < round(LOG_SCALE * (log2(n0) + log2(hi) / 2) / 2)
+    if head:
+        n = np.arange(lo, lo + head, dtype=np.float64)
+        omega[:head] += acc[:head] < LOG_SCALE * (np.log2(n) - log2(hi) / 4)
     return omega, code
 
 
-def _scatter_primes(lo, primes, omega, found):
-    """omega += 1 and found *= p at each multiple of each p in `primes`.
+def _scatter_primes(lo, primes, packed, acc):
+    """acc += packed[i] at each multiple of each p = primes[i].
 
-    omega and found cover n = lo, lo+1, ...; `primes` is int64.  The
-    primes go in blocks of `run` = width/8 (at least _SCATTER_MIN_RUN),
-    and the hits of a run of consecutive primes of a block into one flat
-    index array, which `np.add.at` adds to omega and `np.multiply.at`
-    multiplies into found.  A run holds at most about `run` hits.  So a
-    block's per-prime arrays and a run's temporaries (8 bytes a prime or
-    a hit, a few of each) stay below found's 8 bytes an integer, however
-    many base primes there are: at x = 2^52 - 2^20, with 3.96 M of them,
-    the scatter's peak fell from 152 MiB, with all primes in one block,
-    to 6.3 MiB.  Each ufunc.at gets values of its array's own dtype, the
-    primes as int64 and 1 as int16: otherwise it casts element by
-    element, and with 2^18 indices took about 25 times as long (int32
-    primes into found, or a Python 1 into omega).  Returns, as a list,
-    the primes whose square has a multiple here.
+    acc covers n = lo, lo+1, ...; `primes` is int64 and `packed` their
+    uint32 `_packed_hits`.  The primes go in blocks of `run` = width/8
+    (at least _SCATTER_MIN_RUN).  A block keeps only its primes with a
+    multiple here: above the width most have none (91 % of the 3.96 M
+    scattered primes at x = 2^52 - 2^23), and each later per-prime step
+    costs about as much as finding that.  The hits of a run of consecutive
+    primes of a block go into one flat index array, at which one
+    `np.add.at` adds the packed values repeated per hit.  A run holds at
+    most about `run` hits.  So a block's per-prime arrays and a run's
+    temporaries (8 bytes a prime or a hit, a few of each) stay below 8
+    bytes an integer of the segment, however many base primes there are:
+    at x = 2^52 - 2^20 the scatter's peak is 6.5 MiB, where all primes
+    in one block took 152 MiB.  The values come in acc's own dtype:
+    otherwise `np.add.at` casts element by element, and with 2^18
+    indices took about 25 times as long.  Returns, as a list of
+    (p, packed value) pairs, the primes whose square has a multiple here.
     """
-    width = omega.size
+    width = acc.size
     run = max(width // 8, _SCATTER_MIN_RUN)
     squared = []
     for a in range(0, primes.size, run):
         block = primes[a : a + run]
         start = (-lo) % block
-        hits = (width - 1 - start) // block + 1  # 0 for a prime with no multiple
+        hit = start < width  # above the width, most primes have no multiple here
+        block, start, values = block[hit], start[hit], packed[a : a + run][hit]
+        hits = (width - 1 - start) // block + 1
         first = np.cumsum(hits) - hits  # index of each prime's first hit
         cuts = np.searchsorted(first, np.arange(0, hits.sum(), run)).tolist()
         for b, c in zip(cuts, cuts[1:] + [block.size]):
@@ -186,12 +256,14 @@ def _scatter_primes(lo, primes, omega, found):
             step = np.repeat(block[b:c], hits[b:c])
             idx = np.arange(step.size, dtype=np.int64)
             idx *= step
+            del step  # each del here lowers the peak by one hit array
             idx += np.repeat(start[b:c] - (first[b:c] - first[b]) * block[b:c],
                              hits[b:c])
-            np.add.at(omega, idx, _ONE16)
-            np.multiply.at(found, idx, step)
-        del start, hits, first
-        squared += block[(-lo) % (block * block) < width].tolist()
+            np.add.at(acc, idx, np.repeat(values[b:c], hits[b:c]))
+            del idx
+        del start, hits, first, hit
+        sq = (-lo) % (block * block) < width
+        squared += zip(block[sq].tolist(), values[sq].tolist())
     return squared
 
 
@@ -220,6 +292,13 @@ def _signature(key):
     return key & 15, tuple(exps)
 
 
+@cache
+def _reciprocals(fid):
+    """The ints 1/f(p^e) for e = 0..52, from `spec(fid).local`."""
+    local = spec(fid).local
+    return (1,) + tuple(int(1 / local(e)) for e in range(1, 53))
+
+
 def _denominator_counts(stats, fids):
     """{fid: Counter mapping each denominator d of f(n) = 1/d to its count}.
 
@@ -227,7 +306,8 @@ def _denominator_counts(stats, fids):
     is counted once for all of `fids` (as intp, which bincount takes
     without a copy).  Each distinct key is decoded once per process by
     `_signature`, and its denominator (1/f(p))^(omega - |sig|) times
-    prod 1/f(p^e) over the exponents e of sig is memoized per function.
+    prod 1/f(p^e) over the exponents e of sig, an int product from
+    `_reciprocals`, is memoized per function.
     """
     omega, code = stats
     key = np.left_shift(code, 4, dtype=np.intp)
@@ -240,14 +320,13 @@ def _denominator_counts(stats, fids):
     del key
     out = {}
     for fid in fids:
-        memo, local = _DENOMINATORS.setdefault(fid, {}), spec(fid).local
+        memo, recip = _DENOMINATORS.setdefault(fid, {}), _reciprocals(fid)
         counts = out[fid] = Counter()
         for k, c in keys:
             d = memo.get(k)
             if d is None:
                 w, exps = _signature(k)
-                f = local(1) ** (w - len(exps)) * prod(map(local, exps))
-                d = memo[k] = int(1 / f)
+                d = memo[k] = recip[1] ** (w - len(exps)) * prod(recip[e] for e in exps)
             counts[d] += c
     return out
 

@@ -110,13 +110,31 @@ def test_sum_and_series_build_no_quadrature_rule():
         "assert run(['sum', '--fn', 'all', '--x', '1000', '--h', '100']) == 0\n"
         "assert run(['series', '--fn', 'all']) == 0\n"
     )
+    assert run_fresh(code).count('"schema"') == 2
+
+
+def test_import_builds_no_presieve_pattern():
+    # the sieve's pattern and packed prime logs are built on first use
+    code = (
+        "import shortmean.cli\n"
+        "from shortmean import sieve\n"
+        "assert sieve._presieve_pattern.cache_info().currsize == 0\n"
+        "assert sieve._packed.size == 0\n"
+        "assert shortmean.cli.run(['sum', '--fn', 'f1', '--x', '1000', '--h', '100']) == 0\n"
+        "assert sieve._presieve_pattern.cache_info().currsize == 1\n"
+    )
+    assert run_fresh(code).count('"schema"') == 1
+
+
+def run_fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count('"schema"') == 2
+    return done.stdout
 
 
 def test_usage_errors_exit_1():

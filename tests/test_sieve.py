@@ -2,7 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 import numpy as np
 import pytest
@@ -14,6 +14,9 @@ from shortmean import sieve
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
     CapacityError,
+    LOG_SCALE,
+    OMEGA_UNIT,
+    PRESIEVE_PRIMES,
     SCATTER_MIN_PRIME,
     SEGMENT_WIDTH,
     SIEVE_MAX_POINT,
@@ -237,9 +240,48 @@ def assert_equal_to_loop(lo, hi):
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("x", [0, 10**7, 10**10, SIEVE_MAX_POINT - SEGMENT_WIDTH])
+@pytest.mark.parametrize("x", [
+    0, 2**21, 10**7, 10**10, 10**15, SIEVE_MAX_POINT - 8 * SEGMENT_WIDTH,
+    SIEVE_MAX_POINT - SEGMENT_WIDTH])
 def test_segment_stats_equal_the_loop_on_full_segments(x):
     assert_equal_to_loop(x + 1, x + SEGMENT_WIDTH)
+
+
+@pytest.mark.parametrize("hi", [5000, 10**6, SEGMENT_WIDTH])
+@pytest.mark.parametrize("d", [-300, -1, 0, 1])
+def test_segment_stats_equal_the_loop_around_the_shared_threshold(hi, d):
+    # from n0 = 2 isqrt(hi) + 2 on, one threshold serves every n; each n
+    # below n0 gets its own
+    assert_equal_to_loop(max(1, 2 * isqrt(hi) + 2 + d), hi)
+
+
+def test_segment_stats_equal_the_loop_below_169():
+    # 11 (below 121) and 13 come from the pre-sieve although they are
+    # above sqrt(hi), so they are not base primes
+    for hi in range(1, 169):
+        assert_equal_to_loop(1, hi)
+        assert_equal_to_loop(hi, hi)
+
+
+def test_low_field_cannot_carry_into_omega():
+    # the low field is at most LOG_SCALE log2 n plus 1/2 per prime factor
+    # counted with multiplicity, and n <= 2^52 has at most 52 of them
+    big_omega = SIEVE_MAX_POINT.bit_length() - 1
+    assert LOG_SCALE * log2(SIEVE_MAX_POINT) + big_omega / 2 < OMEGA_UNIT
+    # 2^52 itself reaches that largest log: one prime, exponent 52
+    omega, code = _segment_stats(SIEVE_MAX_POINT - 99, SIEVE_MAX_POINT,
+                                 primes_up_to(isqrt(SIEVE_MAX_POINT)))
+    assert sieve._signature(int(code[-1]) << 4 | int(omega[-1])) == (1, (52,))
+
+
+def test_presieve_pattern_is_the_hits_of_its_primes():
+    pattern = sieve._presieve_pattern()
+    assert pattern.size == 30030 and pattern.dtype == np.uint32
+    assert PRESIEVE_PRIMES == tuple(primes_up_to(13).tolist())
+    for n in [0, 1, 143, 30029, 2 * 3 * 5 * 7 * 11, 17 * 13]:
+        ps = [p for p in PRESIEVE_PRIMES if n % p == 0]
+        want = sum(OMEGA_UNIT + round(LOG_SCALE * log2(p)) for p in ps)
+        assert pattern[n] == want, n
 
 
 @pytest.mark.parametrize("lo, width", [
@@ -279,14 +321,17 @@ def test_scatter_keeps_the_segment_peak_memory():
     base = primes_up_to(isqrt(hi))
     segment = traced_peak(_segment_stats, lo, hi, base)
     assert segment <= 1.25 * traced_peak(segment_stats_loop, lo, hi, base)
-    # the chunk bound: a run's temporaries stay below found's int64 array,
+    # the chunk bound: a run's temporaries stay below 8 bytes an integer,
     # where one run of all 9 495 scattered primes (62 % of the width in
     # hits) took 1.8 times that
-    omega = np.zeros(SEGMENT_WIDTH, dtype=np.int16)
-    found = np.ones(SEGMENT_WIDTH, dtype=np.int64)
-    large = base[base >= SCATTER_MIN_PRIME]
-    scatter = traced_peak(sieve._scatter_primes, lo, large, omega, found)
-    assert scatter < found.nbytes
+    assert traced_scatter_peak(lo, base) < 8 * SEGMENT_WIDTH
+
+
+def traced_scatter_peak(lo, base):
+    split = np.searchsorted(base, SCATTER_MIN_PRIME)
+    large, packed = base[split:], sieve._packed_hits(base)[split:]
+    acc = np.zeros(SEGMENT_WIDTH, dtype=np.uint32)
+    return traced_peak(sieve._scatter_primes, lo, large, packed, acc)
 
 
 def test_scatter_peak_memory_is_bounded_by_the_width():
@@ -294,11 +339,8 @@ def test_scatter_peak_memory_is_bounded_by_the_width():
     # in one block their per-prime arrays peaked at 152 MiB
     lo = SIEVE_MAX_POINT - SEGMENT_WIDTH + 1
     base = primes_up_to(isqrt(lo + SEGMENT_WIDTH - 1))
-    large = base[base >= SCATTER_MIN_PRIME]
-    assert large.size > 3_900_000
-    omega = np.zeros(SEGMENT_WIDTH, dtype=np.int16)
-    found = np.ones(SEGMENT_WIDTH, dtype=np.int64)
-    assert traced_peak(sieve._scatter_primes, lo, large, omega, found) < found.nbytes
+    assert (base >= SCATTER_MIN_PRIME).sum() > 3_900_000
+    assert traced_scatter_peak(lo, base) < 8 * SEGMENT_WIDTH
 
 
 @pytest.mark.parametrize("lo, hi", [
