@@ -35,13 +35,17 @@ with c_m = sum_{n | m, n >= 3} g_n mu(m/n)/(m/n) and ln zeta_{>P0}(w) =
 ln zeta(w) + sum_{p <= P0} ln(1 - p^{-w}).  Each prime p <= P0 then
 gives ln F_p(X) + sum_k e_k X^k at X = p^{-1} e^{u ln p}: the one series
 log of sum_k f(p^k) p^{-k} e^{k u ln p}, plus the exact X^k coefficients
-e_k of a ln(1 - X) + b ln(1 - X^2) + sum_m c_m ln(1 - X^m).  The series
-of w(1-u) and of every zeta(m - m u) come from one call of
-`zeta.zeta_series_hp`, a real Euler-Maclaurin on series in u with a
-bound on each coefficient.  The series arithmetic is that of
-`powerseries`.  The cuts in k and m, the zeta series' bounds and the
-rounding make an error bound on each coefficient of ln Pi, carried
-through exp.
+e_k of a ln(1 - X) + b ln(1 - X^2) + sum_m c_m ln(1 - X^m).  The u^j
+coefficient of sum_k a_k X^k is the moment (ln p)^j / j! sum_k a_k k^j
+p^{-k}, summed by Horner in 1/p over Python integers in units of 2^-P,
+P = mp.prec + FIXED_GUARD_BITS, from columns floor(a_k k^j 2^P) built
+once from the exact a_k; each such sum is below its value by under 4
+units.  The series of w(1-u) and of every zeta(m - m u) come from one
+call of `zeta.zeta_series_hp`, a real Euler-Maclaurin on series in u
+with a bound on each coefficient.  The series arithmetic is that of
+`powerseries`.  The cuts in k and m, the zeta series' bounds, the
+fixed-point truncations and the rounding make an error bound on each
+coefficient of ln Pi, carried through exp.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .powerseries import (
 )
 from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
+    FIXED_GUARD_BITS,
     _prime_zeta_kmax,
     _prime_zeta_mobius,
     prime_zeta_hp,
@@ -328,11 +333,11 @@ class _LogSum:
         self.value = [mpf(0)] * (N + 1)
         self.size = [mpf(0)] * (N + 1)
 
-    def add(self, coef, series):
+    def add(self, series, size=None):
+        """Add a series; its size is |series| unless a bound is given."""
         for j, x in enumerate(series):
-            x = coef * x
             self.value[j] += x
-            self.size[j] += abs(x)
+            self.size[j] += abs(x) if size is None else size[j]
 
 
 def _small_prime_log_coeffs(ef, c, K):
@@ -349,38 +354,86 @@ def _small_prime_log_coeffs(ef, c, K):
     return e
 
 
+def _fixed_columns(a, N, P):
+    """floor(a_k k^j 2^P), k = 0..len(a)-1, one list per j = 0..N, from
+    the exact rationals a_k."""
+    return [[(x.numerator * k**j << P) // x.denominator for k, x in enumerate(a)]
+            for j in range(N + 1)]
+
+
+def _horner_fixed(col, p):
+    """sum_k col[k] p^{-k} in the units of col, by Horner with one floor
+    division a step: S = col[k] + S // p.
+
+    Each step loses under 1 unit, and so does each floor in col, so for
+    col[k] = floor(2^P a_k) the result is below 2^P sum_k a_k p^{-k} by
+    under 2 (1 + 1/p + 1/p^2 + ...) = 2 p / (p - 1) <= 4 units.
+    """
+    S = 0
+    for x in reversed(col):
+        S = x + S // p
+    return S
+
+
+def _moments(cols, p, K, scale):
+    """scale[j] sum_{k <= K} a_k k^j p^{-k}, j = 0..N, from the columns of
+    `_fixed_columns` at P bits; with scale[j] = 2^-P (ln p)^j / j! that is
+    the u^j coefficient of sum_{k <= K} a_k X^k at X = p^{-1} e^{u ln p},
+    below it by under 4 scale[j] (`_horner_fixed`)."""
+    return [mpf(_horner_fixed(col[: K + 1], p)) * w for col, w in zip(cols, scale)]
+
+
+def _local_log(cols, p, K, tail, scale):
+    """ln F_p(X) at X = p^{-1} e^{u ln p} and a bound on each coefficient.
+
+    F_p = sum_{k <= K} f(p^k) X^k is summed by `_moments` from the columns
+    of the f(p^k).  Its coefficient j misses t_j = tail[j] for the cut
+    and under 4 scale[j] for the truncation; `_log_of_cut` carries both
+    through the log.
+    """
+    lnF = _series_log(_moments(cols, p, K, scale))
+    return lnF, _log_of_cut(lnF, [t + 4 * float(w) for t, w in zip(tail, scale)])
+
+
 def _add_small_primes(lnpi, ef, c, N, log_tol):
     """Add the primes p <= P0 of ln G(1-u) and of every c_m ln zeta_{>P0}
-    to lnpi; return the bound of the k cuts.
+    to lnpi; return the bound of the k cuts and of the truncations.
 
     At X = p^{-1} e^{u ln p} that is ln F_p(X) + sum_k e_k X^k, with
     F_p = sum_{k <= K} f(p^k) X^k taken through one series log and the
-    e_k of `_small_prime_log_coeffs` added term by term.  Each |e_k| is at
-    most E = |a| + |b| + sum_m |c_m|, since m <= k for every m | k (m = 1
-    for a, 2 for b), so one cut at tol / max(1, E) serves both: the
-    dropped e_k add E t_j to the bound, and the dropped f(p^k) go through
-    the log of F_p.
+    e_k of `_small_prime_log_coeffs`, each sum_k a_k X^k by `_moments`.
+    The fixed-point columns of a_k = f(p^k), e_k and |e_k| (the e-sum's
+    size), at P = mp.prec + FIXED_GUARD_BITS, are built once and serve
+    all 25 primes.
+
+    Each |e_k| is at most E = |a| + |b| + sum_m |c_m|, since m <= k for
+    every m | k (m = 1 for a, 2 for b), so one cut at tol / max(1, E)
+    serves both sums: the dropped e_k add E t_j to the bound, and the
+    dropped f(p^k) go through the log of F_p (`_local_log`).  Each
+    moment is below its exact value by under 4 units of 2^-P times (ln
+    p)^j / j!: F_p's goes into its tail before the log, the e-sum's into
+    the bound, and the |e|-sum's on top of the size, so that it stays an
+    upper bound.
     """
     E = float(abs(ef.a) + abs(ef.b) + sum(abs(x) for x in c))
     cuts = {p: _local_cut(p, N, log_tol - math.log(max(1.0, E)))
             for p in primes_up_to(DEFAULT_P0).tolist()}
     top = max(K for K, _ in cuts.values())
-    local = [_q(local_value(ef.fid, k)) for k in range(top + 1)]
-    e = [_q(x) for x in _small_prime_log_coeffs(ef, c, top)]
+    P = mp.prec + FIXED_GUARD_BITS
+    local = _fixed_columns([local_value(ef.fid, k) for k in range(top + 1)], N, P)
+    e = _small_prime_log_coeffs(ef, c, top)
+    e_cols = _fixed_columns(e, N, P)
+    abs_cols = _fixed_columns([abs(x) for x in e], N, P)
     eps = [0.0] * (N + 1)
     for p, (K, tail) in cuts.items():
-        lnp = mp.log(p)
-        F = [mpf(0)] * (N + 1)
-        p_k = mpf(1)
-        for k in range(K + 1):
-            X_k = exp_linear_coeffs(p_k, k * lnp, N)
-            for j, x in enumerate(X_k):
-                F[j] += local[k] * x
-            lnpi.add(e[k], X_k)
-            p_k /= p
-        lnF = _series_log(F)
-        lnpi.add(1, lnF)
-        eps = [x + y + E * t for x, y, t in zip(eps, _log_of_cut(lnF, tail), tail)]
+        scale = exp_linear_coeffs(mp.ldexp(1, -P), mp.log(p), N)
+        lnF, lnF_cut = _local_log(local, p, K, tail, scale)
+        lnpi.add(lnF)
+        e_abs = _moments(abs_cols, p, K, scale)
+        lnpi.add(_moments(e_cols, p, K, scale),
+                 [x + 4 * w for x, w in zip(e_abs, scale)])
+        eps = [x + y + E * t + 4 * float(w)
+               for x, y, t, w in zip(eps, lnF_cut, tail, scale)]
     return eps
 
 
@@ -397,7 +450,7 @@ def _add_zeta_factors(lnpi, ef, c, N):
     for coef, m in [(_q(ef.a), 1), (_q(ef.b), 2)] + [(_q(c[m]), m) for m in ms]:
         z, bound = zs[m]
         lnz = _series_log(z)
-        lnpi.add(coef, lnz)
+        lnpi.add([coef * x for x in lnz])
         eps = [e + abs(float(coef)) * x for e, x in zip(eps, _log_of_cut(lnz, bound))]
     return len(ms), eps
 
@@ -409,9 +462,10 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
     docstring); exp of their sum gives the Pi_n.  The error budget bounds
     max_n |Pi_n| error: the dropped local terms k > K (those of F_p
     carried through its log), the dropped m > M, the Euler-Maclaurin
-    remainder of each zeta series (carried through its log), and
-    rounding, each a bound eps_j on coefficient j of ln Pi, carried
-    through exp by the majorant exp(|ln Pi|) (exp(eps) - 1).  The Pi_n
+    remainder of each zeta series (carried through its log), the
+    fixed-point truncations of both, and rounding, each a bound eps_j
+    on coefficient j of ln Pi, carried through exp by the majorant
+    exp(|ln Pi|) (exp(eps) - 1).  The Pi_n
     carry _GUARD_DPS digits above CONSTANTS_DPS or mp.dps, whichever is
     more; the K_n are rounded to that precision.  `nodes` counts the real
     points at which zeta is expanded in u by `zeta_series_hp`: s = 1 (for

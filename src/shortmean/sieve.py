@@ -165,7 +165,8 @@ def _segment_stats(lo, hi, base_primes):
     SEGMENT_WIDTH integers has them only if it starts below about 2.1 k.
 
     The hits of 2, 3, 5, 7, 11 and 13 come from `_presieve_pattern`,
-    rolled to lo mod 30030: it is the accumulator's first value.  One of
+    sliced from lo mod 30030 period by period, with no rolled copy: it
+    is the accumulator's first value.  One of
     them above sqrt(hi) (hi < 169) is no base prime, but it divides each
     n <= hi at most once, so it counts in omega and m as n's one prime
     factor above sqrt(hi) should, and the test finds m = n.  Each other
@@ -184,7 +185,13 @@ def _segment_stats(lo, hi, base_primes):
     split = np.searchsorted(base_primes[:top], SCATTER_MIN_PRIME)
     small, values = base_primes[:split].tolist(), packed[:split].tolist()
     pattern = _presieve_pattern()
-    acc = np.resize(np.roll(pattern, -(lo % pattern.size)), width)
+    acc = np.empty(width, dtype=np.uint32)
+    r = lo % pattern.size
+    head = min(pattern.size - r, width)
+    acc[:head] = pattern[r : r + head]
+    # the rest starts at n = 0 mod 30030: whole periods, then a part
+    for start in range(head, width, pattern.size):
+        acc[start : start + pattern.size] = pattern[: width - start]
 
     for p, v in zip(small[len(PRESIEVE_PRIMES) :], values[len(PRESIEVE_PRIMES) :]):
         start = (-lo) % p

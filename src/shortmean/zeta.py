@@ -17,11 +17,15 @@ real power series in extended precision.
     (Borwein's algorithm; P. Borwein, "An efficient algorithm for the
     Riemann zeta function", 2000).  It serves `constants.pi_function` and
     the prime zeta below;
-  * `zeta_series_hp` - mpmath, on the real axis: the Taylor coefficients
-    in u of zeta(m - m u) and of w(1 - u) = (s - 1) zeta(s), from
+  * `zeta_series_hp` - on the real axis: the Taylor coefficients in u
+    of zeta(m - m u) and of w(1 - u) = (s - 1) zeta(s), from
     Euler-Maclaurin on truncated power series in u, with Backlund's
     remainder bound carried to each coefficient by Cauchy's estimate.
-    It serves `constants.pi_taylor`.
+    The direct sum and the Bernoulli terms are Python integers in units
+    of 2^-P, P = mp.prec + FIXED_GUARD_BITS: the direct sum is one
+    integer dot product per m, and each Bernoulli term is the last times
+    an exact rational from `mp.bernfrac`.  Each floor has its own bound
+    in the one returned.  It serves `constants.pi_taylor`.
 
 The high-precision prime zeta P(s) is the Mobius-log series
 sum_k mu(k)/k * log zeta(ks); `_prime_zeta_mobius` lets ln G share each
@@ -32,7 +36,9 @@ its P(k) from it as well.
 from __future__ import annotations
 
 import math
+import operator
 import threading
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -228,6 +234,10 @@ _SERIES_RADII = (0.125, 0.25, 0.5, 1.0, 2.0)  # circles |s - m| = rho for Cauchy
 _SERIES_GUARD_DPS = 10
 _SERIES_ROUNDING_ULPS = 1000  # rounding bound, in guarded ulps per unit of size
 
+# fixed-point sums in Python integers keep P = mp.prec + FIXED_GUARD_BITS
+# bits after the point; each truncation adds its own bound
+FIXED_GUARD_BITS = 64
+
 
 def _series_N0(dps):
     """Length of the direct sum: the Bernoulli terms then fall by about
@@ -271,13 +281,28 @@ def zeta_series_hp(ms, N):
                   + sum_{k <= K} T_k(s) + R_K(s),
         T_k(s) = B_2k/(2k)! N0^{1-s-2k} s (s+1) ... (s+2k-2),
 
-    where n^{-s} = n^{-m} e^{m u ln n}, each ln n computed once for every
-    m, and T_{k+1} is T_k times (s+2k-1)(s+2k), two linear polynomials in
-    u, and a constant.  For m = 1 the pole cancels exactly:
-    (s-1) N0^{1-s}/(s-1) = N0^u, and the rest is multiplied by s - 1 = -u.
-    Terms are added until Backlund's bound on the remainder
-    (`_backlund_log_bounds`) falls below 10^-(dps+3) in every coefficient;
-    the bound returned adds rounding at _SERIES_GUARD_DPS guard digits.
+    and T_{k+1} is T_k times (s+2k-1)(s+2k), two linear polynomials in
+    u, and the exact rational B_{2k+2} / (B_2k (2k+1)(2k+2) N0^2).  For
+    m = 1 the pole cancels exactly: (s-1) N0^{1-s}/(s-1) = N0^u, and the
+    rest is multiplied by s - 1 = -u.  Terms are added until Backlund's
+    bound on the remainder (`_backlund_log_bounds`) falls below
+    10^-(dps+3) in every coefficient.
+
+    The direct sum and the T_k are Python integers in units of 2^-P,
+    P = mp.prec + FIXED_GUARD_BITS, each with a bound on its truncation:
+
+      * the direct sum m^j sum_{1 < n < N0} n^{-m} (ln n)^j / j! is one
+        integer dot product of floor(2^P / n^m) (off by under 1 unit)
+        with columns of (ln n)^j / j! (under 2), built once per call and
+        shared by every m.  It is off by at most (2 sum_n n^{-m} +
+        sum_n (ln n)^j / j! + 2 N0 2^-P) m^j 2^-P;
+      * T_1 starts under 2 units off, times s = m - m u.  Each step of the
+        recurrence multiplies an error e by (2m+2k-1)(2m+2k) through the
+        two linear factors and by |ratio|, and floors once: e <- e |ratio|
+        (2m+2k-1)(2m+2k) + 1.  The e of every term added are summed.
+
+    Both bounds go into the one returned, with Backlund's and with the
+    rounding of the mpf parts at _SERIES_GUARD_DPS guard digits.
     """
     if N < 0 or any(m < 1 for m in ms):
         raise ValueError("need N >= 0 and integers m >= 1")
@@ -285,44 +310,63 @@ def zeta_series_hp(ms, N):
     N0 = _series_N0(mp.dps)
     out = {}
     with mp.extradps(_SERIES_GUARD_DPS):
-        ln_N0 = mp.log(N0)
-        # (ln n)^j / j! for n = 2..N0-1, one column per j, shared by every m
-        cols = list(zip(*(exp_linear_coeffs(mpf(1), mp.log(n), N)
-                          for n in range(2, N0))))
-        bern = [mpf(1)]  # bern[k] = B_2k
+        P = mp.prec + FIXED_GUARD_BITS
+        unit = math.ldexp(1.0, -P)
+        with mp.workprec(P + 32):  # within 2^-20 units before the floor
+            # floor(2^P (ln n)^j / j!) for n = 2..N0-1, one column per j
+            cols = list(zip(*(_fixed(exp_linear_coeffs(mpf(1), mp.log(n), N), P)
+                              for n in range(2, N0))))
+            ln_N0 = mp.log(N0)
+        # upper bounds on sum_n (ln n)^j / j!: each entry is within 2 units
+        col_sums = [float(sum(col) + 2 * N0) * unit for col in cols]
+        bern = [Fraction(1)]  # bern[k] = B_2k
         rounding = _SERIES_ROUNDING_ULPS * mp.eps
         for m in ms:
             lam = m * ln_N0  # N0^{-s} = N0^{-m} e^{lam u}
             # sum_{n < N0} n^{-s} + N0^{-s}/2, every term positive
-            inv = [mpf(n) ** -m for n in range(2, N0)]
-            total = [mp.fdot(inv, col) * m**j for j, col in enumerate(cols)]
+            inv = [(1 << P) // n**m for n in range(2, N0)]
+            total = [mp.ldexp(sum(map(operator.mul, inv, col)) * m**j, -2 * P)
+                     for j, col in enumerate(cols)]
             total[0] += 1
             for j, x in enumerate(exp_linear_coeffs(mpf(N0) ** -m / 2, lam, N)):
                 total[j] += x
-            size = list(total)
+            inv_sum = float(sum(inv) + N0) * unit  # >= sum_n n^{-m}
+            trunc = [(2 * inv_sum + c + 2 * N0 * unit) * m**j * unit
+                     for j, c in enumerate(col_sums)]
             # T_1 = B_2/2 N0^{-s-1} s
-            term = exp_linear_coeffs(mpf(N0) ** (-m - 1) / 12, lam, N)
+            with mp.workprec(P + 32):
+                term = _fixed(exp_linear_coeffs(mpf(N0) ** (-m - 1) / 12,
+                                                m * ln_N0, N), P)
             term = _times_linear(term, m, m)
+            err = 2.0 * 2 * m  # under 2 units, times |m| + |m|
+            terms, size_terms, err_sum = [0] * (N + 1), [0] * (N + 1), 0.0
             K, prev = 1, math.inf
             while True:
                 for j, x in enumerate(term):
-                    total[j] += x
-                    size[j] += abs(x)
+                    terms[j] += x
+                    size_terms[j] += abs(x)
+                err_sum += err
                 while len(bern) <= K + 1:
-                    bern.append(mp.bernoulli(2 * len(bern)))
+                    bern.append(Fraction(*mp.bernfrac(2 * len(bern))))
+                b_next = bern[K + 1]
                 logs = _backlund_log_bounds(
-                    m, N0, K, float(mp.log(abs(bern[K + 1]))), N)
+                    m, N0, K,
+                    math.log(abs(b_next.numerator)) - math.log(b_next.denominator), N)
                 if max(logs) <= log_tol:
                     break
                 if max(logs) >= prev:
                     raise ArithmeticError("Euler-Maclaurin terms stopped falling")
                 prev = max(logs)
-                ratio = bern[K + 1] / bern[K] / ((2 * K + 1) * (2 * K + 2) * N0 * N0)
+                ratio = b_next / bern[K] / ((2 * K + 1) * (2 * K + 2) * N0 * N0)
                 term = _times_linear(_times_linear(term, m + 2 * K - 1, m),
                                      m + 2 * K, m)
-                term = [ratio * x for x in term]
+                term = [x * ratio.numerator // ratio.denominator for x in term]
+                err = (err * abs(float(ratio))
+                       * (2 * m + 2 * K - 1) * (2 * m + 2 * K) + 1)
                 K += 1
-            bound = [math.exp(x) for x in logs]
+            size = [z + mp.ldexp(x, -P) for z, x in zip(total, size_terms)]
+            total = [z + mp.ldexp(x, -P) for z, x in zip(total, terms)]
+            bound = [math.exp(x) + t + err_sum * unit for x, t in zip(logs, trunc)]
             if m == 1:  # w = N0^u - u * (everything else)
                 pole = exp_linear_coeffs(mpf(1), lam, N)
                 coeffs = pole[:1] + [p - x for p, x in zip(pole[1:], total)]
@@ -336,6 +380,11 @@ def zeta_series_hp(ms, N):
                 size = [z + p for z, p in zip(size, pole)]
             out[m] = (coeffs, [b + float(rounding * z) for b, z in zip(bound, size)])
     return out
+
+
+def _fixed(xs, P):
+    """floor(2^P x) for each mpf x."""
+    return [int(mp.floor(mp.ldexp(x, P))) for x in xs]
 
 
 def _times_linear(c, alpha, beta):

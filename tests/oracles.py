@@ -2,11 +2,12 @@
 
 Each oracle takes an independent route to a quantity the package
 computes (trial division, the per-prime segment loop, a direct prime
-sum or product, the sawtooth integral for zeta, mpmath's zeta
-derivatives and Stieltjes constants, closed forms, a circle quadrature
-of Pi), or is a check or helper that only the tests run.
-Test modules import them with `from oracles import ...`; pytest puts
-this directory on sys.path because `tests/` is not a package.
+sum or product, the small primes' series term by term in mpf, the
+sawtooth integral for zeta, mpmath's zeta derivatives and Stieltjes
+constants, closed forms, a circle quadrature of Pi), or is a check or
+helper that only the tests run.  Test modules import them with
+`from oracles import ...`; pytest puts this directory on sys.path
+because `tests/` is not a package.
 """
 
 from __future__ import annotations
@@ -22,14 +23,21 @@ from mpmath import mp, mpf
 
 from shortmean.asymptotics import DENSITY_EXPONENT
 from shortmean.constants import (
+    DEFAULT_P0,
     PiExpansion,
     _g_bound,
     _ln_G_tail_bound,
+    _local_cut,
+    _log_of_cut,
+    _q,
+    _series_log,
+    _small_prime_log_coeffs,
     gamma_route_K,
     pi_function,
 )
 from shortmean.eulerform import EulerForm
 from shortmean.functions import MultFnId, local_value
+from shortmean.powerseries import exp_linear_coeffs
 from shortmean.sieve import primes_up_to
 from shortmean.zeta import _em_N, _em_tail, zeta_many
 from shortmean.zetachecks import GROWTH_C
@@ -317,6 +325,47 @@ def pi_taylor_quadrature(ef: EulerForm, N: int, radius=0.125) -> PiExpansion:
         nodes=Q,
         error_budget=float(alias + imag_resid + lng_tail),
     )
+
+
+# ---------------------------------------------------------------------------
+# the small primes of ln Pi(u), one mpf term at a time (from constants)
+
+
+def termwise_series(seqs, p, K, N):
+    """sum_{k <= K} a_k X^k at X = p^{-1} e^{u ln p}, through u^N, for
+    each sequence a of mpf in `seqs`: each term X^k = p^{-k} e^{k u ln p}
+    is an mpf series of its own, as `constants` summed them before its
+    fixed-point moments."""
+    lnp = mp.log(p)
+    sums = [[mpf(0)] * (N + 1) for _ in seqs]
+    p_k = mpf(1)
+    for k in range(K + 1):
+        X_k = exp_linear_coeffs(p_k, k * lnp, N)
+        for a, out in zip(seqs, sums):
+            for j, x in enumerate(X_k):
+                out[j] += a[k] * x
+        p_k /= p
+    return sums
+
+
+def small_primes_termwise(lnpi, ef: EulerForm, c, N, log_tol):
+    """Oracle for `constants._add_small_primes`: the same sum, with the
+    same cuts and cut bounds, from `termwise_series` in place of integer
+    moments.  Adds to the `_LogSum` lnpi; returns the bound of the cuts."""
+    E = float(abs(ef.a) + abs(ef.b) + sum(abs(x) for x in c))
+    cuts = {p: _local_cut(p, N, log_tol - math.log(max(1.0, E)))
+            for p in primes_up_to(DEFAULT_P0).tolist()}
+    top = max(K for K, _ in cuts.values())
+    local = [_q(local_value(ef.fid, k)) for k in range(top + 1)]
+    e = [_q(x) for x in _small_prime_log_coeffs(ef, c, top)]
+    eps = [0.0] * (N + 1)
+    for p, (K, tail) in cuts.items():
+        F, e_sum, e_abs = termwise_series([local, e, [abs(x) for x in e]], p, K, N)
+        lnF = _series_log(F)
+        lnpi.add(lnF)
+        lnpi.add(e_sum, e_abs)
+        eps = [x + y + E * t for x, y, t in zip(eps, _log_of_cut(lnF, tail), tail)]
+    return eps
 
 
 # ---------------------------------------------------------------------------

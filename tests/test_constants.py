@@ -5,21 +5,36 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from oracles import G_product_direct, pi_taylor_quadrature
+from oracles import (
+    G_product_direct,
+    pi_taylor_quadrature,
+    small_primes_termwise,
+    termwise_series,
+)
 from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
     DEFAULT_P0,
     _GUARD_DPS,
+    _ROUNDING_ULPS,
+    _LogSum,
+    _add_small_primes,
+    _fixed_columns,
     _g_bound,
+    _horner_fixed,
     _large_prime_coeffs,
     _large_prime_cut,
     _ln_G_order,
     _ln_G_p_hp,
     _ln_G_tail_bound,
+    _local_cut,
+    _local_log,
     _q,
+    _series_log,
     _small_prime_log_coeffs,
     gamma_route_K,
     ln_G_hp,
@@ -31,8 +46,8 @@ from shortmean.constants import (
     reflection_K,
 )
 from shortmean.eulerform import euler_form, local_series
-from shortmean.functions import ALL_FNS, MultFnId
-from shortmean.powerseries import log_coeffs
+from shortmean.functions import ALL_FNS, MultFnId, local_value
+from shortmean.powerseries import exp_linear_coeffs, log_coeffs
 from shortmean.sieve import primes_up_to
 from shortmean.zeta import prime_zeta_hp
 
@@ -77,9 +92,11 @@ def test_shared_n_series_matches_per_n_prime_zeta():
 def test_pi_taylor_call_counts(monkeypatch):
     # the Taylor series come from real-argument data only: no point
     # evaluation of Pi, ln G or the Euler-Maclaurin zeta, and neither
-    # mpmath's zeta derivatives nor its Stieltjes constants (quadratures)
+    # mpmath's zeta derivatives nor its Stieltjes constants (quadratures);
+    # the direct sums are integer dot products and the Bernoulli numbers
+    # exact fractions, so no mp.fdot and no mp.bernoulli either
     calls = {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0,
-             "mp.zeta": 0, "mp.stieltjes": 0}
+             "mp.zeta": 0, "mp.stieltjes": 0, "mp.fdot": 0, "mp.bernoulli": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -95,9 +112,66 @@ def test_pi_taylor_call_counts(monkeypatch):
         constants, "pi_function", counted("pi_function", constants.pi_function))
     monkeypatch.setattr(mp, "zeta", counted("mp.zeta", mp.zeta))
     monkeypatch.setattr(mp, "stieltjes", counted("mp.stieltjes", mp.stieltjes))
+    monkeypatch.setattr(mp, "fdot", counted("mp.fdot", mp.fdot))
+    monkeypatch.setattr(mp, "bernoulli", counted("mp.bernoulli", mp.bernoulli))
     pi_taylor(euler_form(MultFnId.INV_TAU_SQ), 4)
     assert calls == {"pi_function": 0, "zeta_hp": 0, "ln_G_hp": 0,
-                     "mp.zeta": 0, "mp.stieltjes": 0}
+                     "mp.zeta": 0, "mp.stieltjes": 0, "mp.fdot": 0,
+                     "mp.bernoulli": 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-10, 10, max_denominator=10**6), min_size=1, max_size=40),
+       st.sampled_from(primes_up_to(100).tolist()),
+       st.integers(0, 200))
+def test_horner_fixed_is_within_four_units(a, p, P):
+    # each moment sum_k a_k k^j p^{-k} falls short of the exact one by
+    # under 2 p / (p - 1) <= 4 units of 2^-P
+    for j, col in enumerate(_fixed_columns(a, 3, P)):
+        exact = sum(x * k**j / Fraction(p) ** k for k, x in enumerate(a)) * 2**P
+        assert 0 <= exact - _horner_fixed(col, p) < 4, j
+
+
+@pytest.mark.parametrize("N", [0, 4, 8])
+def test_small_primes_match_the_termwise_pass(N, monkeypatch):
+    # the integer moments against the mpf term-by-term pass, with the same
+    # cuts: within the returned bound and the rounding of both, at the
+    # default P and at P = 64 bits, where the truncations outweigh the cuts
+    with mp.workdps(CONSTANTS_DPS + _GUARD_DPS):
+        log_tol = -mp.dps * math.log(10)
+        guards = (constants.FIXED_GUARD_BITS, 64 - mp.prec)
+        for fid in (*ALL_FNS, "inv_tau"):
+            ef = euler_form(fid)
+            c = _large_prime_coeffs(ef, _large_prime_cut(ef, N, log_tol)[0])
+            want = _LogSum(N)
+            small_primes_termwise(want, ef, c, N, log_tol)
+            for guard in guards:
+                monkeypatch.setattr(constants, "FIXED_GUARD_BITS", guard)
+                got = _LogSum(N)
+                eps = _add_small_primes(got, ef, c, N, log_tol)
+                for j in range(N + 1):
+                    rounding = _ROUNDING_ULPS * mp.eps * (got.size[j] + want.size[j])
+                    assert abs(got.value[j] - want.value[j]) <= eps[j] + rounding, (
+                        fid, guard, j)
+                    assert got.size[j] >= want.size[j] - rounding, (fid, guard, j)
+
+
+def test_local_log_bound_covers_a_coarse_fixed_point():
+    # at P = 40 bits the truncation of F_p's moments, not its cut, is what
+    # the bound on ln F_p must cover
+    N, P = 4, 40
+    with mp.workdps(CONSTANTS_DPS + _GUARD_DPS):
+        for fid in (*ALL_FNS, "inv_tau"):
+            for p in (2, 3, 97):
+                K, tail = _local_cut(p, N, -mp.dps * math.log(10))
+                a = [local_value(fid, k) for k in range(K + 1)]
+                scale = exp_linear_coeffs(mp.ldexp(1, -P), mp.log(p), N)
+                lnF, bound = _local_log(_fixed_columns(a, N, P), p, K, tail, scale)
+                want = _series_log(termwise_series([[_q(x) for x in a]], p, K, N)[0])
+                for j in range(N + 1):
+                    rounding = _ROUNDING_ULPS * mp.eps
+                    assert abs(lnF[j] - want[j]) <= bound[j] + rounding, (fid, p, j)
+                    assert bound[j] <= 1e-8, (fid, p, j)
 
 
 def test_pi_taylor_budget_bounds_a_more_precise_run():

@@ -315,6 +315,22 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def test_narrow_window_takes_no_full_presieve_copy():
+    # perron's exact sum over n <= 1000: a window inside one period is a
+    # slice of the 117 KiB pattern, where a rolled copy peaked at 236 KiB
+    sieve._presieve_pattern()
+    assert traced_peak(_segment_stats, 1, 1000, primes_up_to(31)) < 32 * 1024
+
+
+@pytest.mark.parametrize("lo, width", [
+    (30030 - 5, 10),             # crosses one period boundary
+    (7, 3 * 30030 + 11),         # whole periods, then a part
+    (10**10 + 1, 2 * 30030),     # two periods from a residue, exactly
+])
+def test_segment_stats_equal_the_loop_across_presieve_periods(lo, width):
+    assert_equal_to_loop(lo, lo + width - 1)
+
+
 def test_scatter_keeps_the_segment_peak_memory():
     x = 10**10
     lo, hi = x + 1, x + SEGMENT_WIDTH

@@ -253,6 +253,23 @@ def test_zeta_series_within_its_bound(dps):
                     assert bound[j] <= 10.0**-dps, (m, N, j)
 
 
+def test_zeta_series_bound_covers_a_coarse_fixed_point(monkeypatch):
+    # at P = mp.prec - 100, about 70 bits, the integer direct sum and
+    # Bernoulli terms, not Backlund's remainder, set the bound; it must
+    # still cover each coefficient's error
+    ms = (1, 2, 3, 7, 30)
+    with mp.workdps(60):
+        want = {m: zeta_taylor_mpmath(m, 4) for m in ms}
+    monkeypatch.setattr(zeta_mod, "FIXED_GUARD_BITS", -100)
+    with mp.workdps(40):
+        got = zeta_series_hp(ms, 4)
+    for m in ms:
+        coeffs, bound = got[m]
+        for j in range(5):
+            assert abs(coeffs[j] - want[m][j]) <= bound[j], (m, j)
+        assert 1e-30 < max(bound) <= 1e-12, m
+
+
 def test_zeta_series_domain():
     with pytest.raises(ValueError):
         zeta_series_hp([0], 4)
