@@ -20,9 +20,9 @@ _REFINE_BELOW, unit-height above), so the rows of the (panels, 16) node
 grid are shifts of one another by whole panel widths.  F_eval takes such
 a grid whole: zeta(s), zeta(2s) and ln G go through the shifted-row
 kernel `zeta._dirichlet_grid`.  Every block of such a grid has the same
-row shifts, so the kernel computes their exponentials once per grid and
-adds only the columns that a taller block's longer sum needs.  The one
-extra panel up to an off-grid T is a grid of one row.
+row shifts, so each of the three sums builds one table of their
+exponentials per call and every block slices it.  The one extra panel
+up to an off-grid T is a grid of one row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .eulerform import EulerForm, euler_form
 from .functions import MultFnId
 from .sieve import interval_sum, primes_up_to
-from .zeta import T_MAX, _as_grid, _dirichlet_grid, zeta_many
+from .zeta import T_MAX, _dirichlet_grid, zeta_many
 from .zetachecks import _gl16
 
 # ln G on the contour: g_n p^{-ns} over p <= _LNG_CUTOFF[n] for n = 3, 4
@@ -74,7 +74,7 @@ def ln_G_line(ef: EulerForm, s: np.ndarray) -> np.ndarray:
         gn.append(np.full(len(lp), float(ef.g_at(n))))
         lam.append(lp)
     gn, lam = np.concatenate(gn), np.concatenate(lam)
-    return _dirichlet_grid(gn, lam, _as_grid(s)).reshape(s.shape)
+    return _dirichlet_grid(gn, lam, s)
 
 
 def F_eval(fid: MultFnId, s) -> np.ndarray:
@@ -86,11 +86,8 @@ def F_eval(fid: MultFnId, s) -> np.ndarray:
     ef = euler_form(fid, _LNG_ORDER)
     s = np.asarray(s, dtype=complex)
     a, b = float(ef.a), float(ef.b)
-    z1 = zeta_many(s).reshape(s.shape)
-    z2 = zeta_many(2 * s).reshape(s.shape)
-    return (
-        np.exp(a * np.log(z1) + b * np.log(z2) + ln_G_line(ef, s))
-    )
+    return np.exp(a * np.log(zeta_many(s)) + b * np.log(zeta_many(2 * s))
+                  + ln_G_line(ef, s))
 
 
 def _gl16_partials(fid, x, b, lows, highs):

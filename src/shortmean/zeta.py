@@ -9,10 +9,10 @@ real power series in extended precision.
     `perron.ln_G_line`, goes through one kernel, `_dirichlet_grid`
     (multi-evaluation after Odlyzko-Schoenhage): in each block of 64 rows
     a term is the product of its exponential at the block's first row and
-    that of its row's shift, summed by one matrix product.  The row-shift
-    exponentials are computed once per grid: each thread holds the last
-    block's table, and a block with the same shifts reuses it, computing
-    only the columns a larger N adds.  `zeta_em` evaluates one such block;
+    that of its row's shift, summed by one matrix product.  Each kernel
+    call builds one table of row-shift exponentials, which every block
+    with the same shifts slices, and drops it when it returns, so a value
+    does not depend on earlier calls.  `zeta_em` evaluates one block;
   * `zeta_hp` - one point at working precision, from mpmath's `mp.zeta`
     (Borwein's algorithm; P. Borwein, "An efficient algorithm for the
     Riemann zeta function", 2000).  It serves `constants.pi_function` and
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -96,93 +95,74 @@ def _as_grid(s):
     return s.reshape(len(s), math.prod(s.shape[1:]))
 
 
-def _dirichlet_grid(coef, lam, s):
-    """sum_n coef_n e^{-s lam_n} on a complex grid s of shape (K, J).
-
-    The rows of s must be complex shifts of one another, s[k] = s[0] + d_k
-    (equal-width panels with the same nodes, or a single column): every
-    column must agree with column 0 to tol = 8 eps max(1, max|s|), else
-    ValueError.  Each block of _GRID_ROWS rows takes coef e^{-s lam} at its
-    first row (J x N) and e^{-d lam} at its row shifts d (_GRID_ROWS x N),
-    and one complex matrix product gives every point; each term is the
-    product of two exponentials, so no long recurrence accumulates
-    rounding.  Those two factors have moduli e^{-Re s[0] lam} and
-    e^{-Re d lam}, so real parts within a block that differ by about
-    700 / max(lam) or more would under- and overflow.
-
-    The shift table is computed once per grid, not once per block: each
-    thread holds the shifts, lam and table of its last block
-    (`_row_shifts`).  On the equal-width panel grids of the Perron and
-    second-moment scans every block has the same shifts, so a block whose
-    d agrees with a prefix of the held shifts to tol, and whose lam agrees
-    with the held lam on their common length, takes the held table.  When
-    its lam is longer (N grows with height) only the new columns are
-    computed, and the table's capacity doubles, up to _HELD_COLS columns,
-    so a sweep of rising N copies it a few times.  Any other block builds
-    a fresh table, which replaces the held one.  A reused shift is the
-    held d_k, not this block's s[a+k, 0] - s[a, 0]; both are differences
-    of node heights that each carry a rounding of about an ulp of t, so
-    reuse moves a node by about an ulp of t: the rounding the node already
-    carries, and within the tol by which any column may stray from column 0.
-    """
-    s = np.asarray(s, dtype=complex)
-    tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))
-    dev = (s - s[:, :1]) - (s[0] - s[0, 0])
-    if np.any(np.abs(dev) > tol):
-        raise ValueError("grid rows are not shifts of one another")
-    out = np.empty(s.shape, dtype=complex)
-    for a in range(0, len(s), _GRID_ROWS):
-        rows = s[a : a + _GRID_ROWS]
-        base = coef * np.exp(-np.multiply.outer(rows[0], lam))
-        shift = _row_shifts(rows[:, 0] - rows[0, 0], lam, tol)
-        out[a : a + _GRID_ROWS] = shift @ base.T
-    return out
-
-
-# Widest shift table a thread holds (N at height T_MAX): 64 x 5008 complex
-# entries, about 5 MB.
-_HELD_COLS = _em_N(T_MAX)
-_held = threading.local()  # .shifts = (d, lam, table) of the last block
-
-
-def _fresh_shifts(d, lam):
-    """e^{-d_k lam_n}, shape (len(d), len(lam)), for a table built anew."""
+def _shift_table(d, lam):
+    """e^{-d_k lam_n}, shape (len(d), len(lam)): the one place a row-shift
+    table is built."""
     return np.exp(-np.multiply.outer(d, lam))
 
 
-def _row_shifts(d, lam, tol):
-    """e^{-d_k lam_n} for one block's row shifts d, shape (len(d), len(lam)),
-    from this thread's held table where the rule in `_dirichlet_grid`
-    allows; a lam wider than _HELD_COLS is neither held nor served."""
-    N = len(lam)
-    held = getattr(_held, "shifts", None)
-    if held is not None and N <= _HELD_COLS:
-        hd, hlam, table = held
-        n = min(N, len(hlam))
-        if (len(d) <= len(hd) and np.all(np.abs(d - hd[: len(d)]) <= tol)
-                and np.array_equal(lam[:n], hlam[:n])):
-            if N > n:
-                if N > table.shape[1]:
-                    cols = max(N, min(2 * table.shape[1], _HELD_COLS))
-                    grown = np.empty((len(hd), cols), dtype=complex)
-                    grown[:, :n] = table[:, :n]
-                    table = grown
-                table[:, n:N] = np.exp(-np.multiply.outer(hd, lam[n:]))
-                _held.shifts = (hd, lam, table)
-            return table[: len(d), :N]
-    table = _fresh_shifts(d, lam)
-    if N <= _HELD_COLS:
-        _held.shifts = (d, lam, table)
-    return table
+def _blocks(s, lam, widths=None):
+    """(a, rows, shift) for each block rows = s[a : a + _GRID_ROWS] of a
+    grid s of shifted rows: shift = e^{-d_k lam_n} for its row shifts
+    d_k = rows[k, 0] - rows[0, 0] and n < its width (widths[i] for block
+    i, else len(lam)).
+
+    Every column of s must agree with column 0 to tol = 8 eps
+    max(1, max|s|), else ValueError.  The call builds one table from the
+    first block's d, as wide as the widest block whose d agrees with it to
+    tol, and each such block takes a slice of it; any other block (the
+    uneven panels of a halving round, a 1-D s spanning many heights)
+    builds its own.  Nothing outlives the call.  A slice gives the first
+    block's d_k, not this block's; both are differences of node heights
+    that each carry a rounding of about an ulp of t, so a slice moves a
+    node by about an ulp of t: the rounding the node already carries, and
+    within the tol by which any column may stray from column 0.
+    """
+    if not len(s):
+        return
+    tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))
+    if np.any(np.abs((s - s[:, :1]) - (s[0] - s[0, 0])) > tol):
+        raise ValueError("grid rows are not shifts of one another")
+    starts = range(0, len(s), _GRID_ROWS)
+    widths = [len(lam)] * len(starts) if widths is None else widths
+    ds = [s[a : a + _GRID_ROWS, 0] - s[a, 0] for a in starts]
+    same = [not np.any(np.abs(d - ds[0][: len(d)]) > tol) for d in ds]
+    table = _shift_table(ds[0], lam[: max(w for w, m in zip(widths, same) if m)])
+    for a, d, m, w in zip(starts, ds, same, widths):
+        shift = table[: len(d), :w] if m else _shift_table(d, lam[:w])
+        yield a, s[a : a + _GRID_ROWS], shift
 
 
-def zeta_em(s):
-    """zeta on a grid s of shifted rows (see `_dirichlet_grid`), with one
-    truncation length N sized for its largest |Im s|."""
-    N = _em_N(float(np.max(np.abs(s.imag))))
+def _block_sum(coef, lam, rows, shift):
+    """sum_n coef_n e^{-s lam_n} on one block: coef e^{-s lam} at its first
+    row (J x N) times its row shifts (rows x N), one matrix product.  Each
+    term is the product of two exponentials, so no long recurrence
+    accumulates rounding; their moduli are e^{-Re s[0] lam} and
+    e^{-Re d lam}, so real parts within a block that differ by about
+    700 / max(lam) or more would under- and overflow."""
+    return shift @ (coef * np.exp(-np.multiply.outer(rows[0], lam))).T
+
+
+def _dirichlet_grid(coef, lam, s):
+    """sum_n coef_n e^{-s lam_n}, shaped like s, for s whose rows are
+    shifts of one another, or any 1-D s (multi-evaluation after
+    Odlyzko-Schoenhage): one row-shift table per call (`_blocks`) and one
+    matrix product per block of _GRID_ROWS rows (`_block_sum`)."""
+    grid = _as_grid(s)
+    out = np.empty_like(grid)
+    for a, rows, shift in _blocks(grid, lam):
+        out[a : a + _GRID_ROWS] = _block_sum(coef, lam, rows, shift)
+    return out.reshape(np.shape(s))
+
+
+def zeta_em(s, N, shift):
+    """zeta on one block s of shifted rows by Euler-Maclaurin with N terms.
+    `shift` holds e^{-d_k ln n}, n <= N, for the block's row shifts d: a
+    slice of the one table of the `zeta_many` call, or the block's own
+    (`_blocks`)."""
     lam = np.log(np.arange(1, N + 1, dtype=float))
     n_pow, boundary, corr = _em_tail(s, N)
-    return _dirichlet_grid(1.0, lam, s) + n_pow * N / (s - 1.0) + boundary + corr
+    return _block_sum(1.0, lam, s, shift) + n_pow * N / (s - 1.0) + boundary + corr
 
 
 def zeta_many(s):
@@ -198,15 +178,20 @@ def zeta_many(s):
 
     The rows of a 2-D s must be shifts of one another (ValueError
     otherwise); a 1-D s is one column.  Each block of _GRID_ROWS rows is one
-    `zeta_em` call, so its N is sized for that block's top height.
+    `zeta_em` call, its N sized for that block's top height; the call's
+    one shift table (`_blocks`) is as wide as the N of the top block, and
+    each block takes its first N columns.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
         raise ValueError("zeta pole at s = 1")
     grid = _as_grid(s)
+    Ns = [_em_N(float(np.max(np.abs(grid[a : a + _GRID_ROWS].imag))))
+          for a in range(0, len(grid), _GRID_ROWS)]
+    lam = np.log(np.arange(1, max(Ns, default=0) + 1, dtype=float))
     out = np.empty_like(grid)
-    for a in range(0, len(grid), _GRID_ROWS):
-        out[a : a + _GRID_ROWS] = zeta_em(grid[a : a + _GRID_ROWS])
+    for (a, rows, shift), N in zip(_blocks(grid, lam, Ns), Ns):
+        out[a : a + _GRID_ROWS] = zeta_em(rows, N, shift)
     return out.reshape(s.shape)
 
 

@@ -402,7 +402,7 @@ def zeta_taylor_mpmath(m, N):
 
 def on_fresh_thread(fn, *args):
     """fn(*args) on a thread of its own, so it starts with none of the
-    per-thread state (such as the kernel's held shift table) of the caller."""
+    caller's thread-local state."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn, *args).result()
 

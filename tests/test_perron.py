@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import on_fresh_thread, segment_stats_loop, zeta_terms
+from oracles import segment_stats_loop, zeta_terms
 from shortmean import zeta
 from shortmean.constants import ln_G_hp
 from shortmean.functions import ALL_FNS, MultFnId
@@ -139,9 +139,8 @@ def test_kernel_reuse_across_F_eval_sums():
     # frequencies, then zeta(s) again; each matches its term-by-term sum
     s = 1 + 1 / math.log(1000.5) + 1j * _unit_panels(3090.0, 72)
     ef = euler_form(MultFnId.INV_TWO_OMEGA, _LNG_ORDER)
-    z1, z2, lng, again = on_fresh_thread(
-        lambda: (zeta.zeta_many(s), zeta.zeta_many(2 * s), ln_G_line(ef, s),
-                 zeta.zeta_many(s)))
+    z1, z2, lng, again = (zeta.zeta_many(s), zeta.zeta_many(2 * s),
+                          ln_G_line(ef, s), zeta.zeta_many(s))
     for got, pts in ((z1, s), (z2, 2 * s), (again, s)):
         ref = np.array([zeta_terms(row) for row in pts])
         assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
@@ -152,28 +151,22 @@ def test_kernel_reuse_across_F_eval_sums():
 def test_F_eval_builds_each_shift_table_once(monkeypatch):
     # 50 blocks of unit panels, as on the Perron contour above
     # _REFINE_BELOW: zeta(s), zeta(2s) and ln G each build one table of
-    # row-shift exponentials and reuse it, and the held table stays within
-    # _GRID_ROWS x _em_N(T_MAX) complex entries
-    builds, held = [], []
-    fresh, row_shifts = zeta._fresh_shifts, zeta._row_shifts
+    # row-shift exponentials, as wide as the sum of their top block, and
+    # every block takes a slice of it
+    builds, build = [], zeta._shift_table
 
     def counting(d, lam):
-        builds.append(len(lam))
-        return fresh(d, lam)
+        builds.append((len(d), len(lam)))
+        return build(d, lam)
 
-    def watching(d, lam, tol):
-        out = row_shifts(d, lam, tol)
-        held.append(zeta._held.shifts[2].size)
-        return out
-
-    monkeypatch.setattr(zeta, "_fresh_shifts", counting)
-    monkeypatch.setattr(zeta, "_row_shifts", watching)
+    monkeypatch.setattr(zeta, "_shift_table", counting)
     s = 1 + 1 / math.log(1000.5) + 1j * _unit_panels(_REFINE_BELOW, 50 * 64)
-    values = on_fresh_thread(F_eval, MultFnId.INV_TWO_OMEGA, s)
+    values = F_eval(MultFnId.INV_TWO_OMEGA, s)
     assert np.all(np.isfinite(values))
-    assert len(held) == 3 * 50
-    assert len(builds) <= 3
-    assert max(held) <= zeta._GRID_ROWS * zeta._em_N(zeta.T_MAX)
+    top = float(np.max(s.imag))
+    rows = zeta._GRID_ROWS
+    assert builds == [(rows, zeta._em_N(top)), (rows, zeta._em_N(2 * top)),
+                      (rows, len(ln_G_powers()))]
 
 
 def test_ln_G_line_grid_matches_rows():

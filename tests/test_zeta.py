@@ -49,6 +49,7 @@ def test_zeta_many_matches_scalar():
     vec = zeta_many(pts)
     for i, s in enumerate(pts):
         assert abs(vec[i] - zeta(complex(s))) < 1e-12
+    assert zeta_many(np.array([])).shape == (0,)
 
 
 def _panel_grid(lo, count, width, nodes):
@@ -118,10 +119,10 @@ def _assert_pointwise(s, got, label):
 
 
 def _reuse_sequence():
-    """(s, label) in an order that makes the kernel reuse, extend and
-    replace its held table of row-shift exponentials."""
+    """(s, label) for grids whose blocks share the call's one table of
+    row-shift exponentials, and for one whose blocks each build their own."""
     b = 1 + 1 / math.log(1000.5)
-    for lo in (0.0, 3062.0, 9900.0):  # a table from low t serves high t
+    for lo in (0.0, 3062.0, 9900.0):
         yield b + 1j * _panel_grid(lo, 100, 1.0, 16), f"unit t>={lo}"
     yield b + 1j * _panel_grid(3062.0, 100, 0.5, 16), "width 0.5 after 1"
     # as after a second-moment halving round: half panels at uneven lows
@@ -132,56 +133,65 @@ def _reuse_sequence():
     yield 0.5 + 1j * (lows[:, None] + (x[None, :] + 1.0) * 0.0625), "uneven"
 
 
-def _count_fresh_builds(monkeypatch):
-    """A list that grows by one each time the kernel builds a shift table
-    anew rather than taking or extending the held one."""
-    builds, fresh = [], zeta_mod._fresh_shifts
+def _count_builds(monkeypatch):
+    """A list of the (rows, columns) of every row-shift table built."""
+    builds, build = [], zeta_mod._shift_table
 
     def counting(d, lam):
-        builds.append(len(lam))
-        return fresh(d, lam)
+        builds.append((len(d), len(lam)))
+        return build(d, lam)
 
-    monkeypatch.setattr(zeta_mod, "_fresh_shifts", counting)
+    monkeypatch.setattr(zeta_mod, "_shift_table", counting)
     return builds
 
 
 def test_zeta_grid_reuse_matches_fresh_exponentials(monkeypatch):
-    builds = _count_fresh_builds(monkeypatch)
-
-    def run():
-        done = []
-        for s, label in _reuse_sequence():
-            done.append((s, zeta_many(s), label, len(builds)))
-        return done
-
-    done = on_fresh_thread(run)
-    for s, got, label, _ in done:
-        _assert_pointwise(s, got, label)
-    # the three unit windows (six blocks) share one table; the half-width
-    # grid builds one; every uneven block builds its own
-    assert [n for *_, n in done] == [1, 1, 1, 2, 2 + math.ceil(160 / 64)]
+    builds, counts = _count_builds(monkeypatch), []
+    for s, label in _reuse_sequence():
+        before = len(builds)
+        _assert_pointwise(s, zeta_many(s), label)
+        counts.append(len(builds) - before)
+    # a grid of equal panels builds one table per call, however many
+    # blocks it has; every block of the uneven grid builds its own
+    assert counts == [1, 1, 1, 1, math.ceil(160 / 64)]
 
 
-def test_held_shift_table_is_capped(monkeypatch):
-    # one block of unit panels climbing to T_MAX: one table, grown in place
-    # or by doubling, never wider than N at T_MAX
-    builds, sizes = _count_fresh_builds(monkeypatch), []
-    heights = [0.0] + [zeta_mod.T_MAX * 2.0**-k - 64 for k in range(8, -1, -1)]
+def test_shift_table_is_no_wider_than_the_top_block(monkeypatch):
+    # two blocks of unit panels climbing to T_MAX: each call builds one
+    # table, as wide as the N of its top block
+    builds = _count_builds(monkeypatch)
+    b = 1 + 1 / math.log(1000.5)
+    for lo in [0.0] + [zeta_mod.T_MAX * 2.0**-k - 100 for k in range(8, -1, -1)]:
+        s = b + 1j * _panel_grid(lo, 100, 1.0, 16)
+        before = len(builds)
+        _assert_pointwise(s, zeta_many(s), lo)
+        top = zeta_mod._em_N(float(np.max(s.imag)))
+        assert builds[before:] == [(zeta_mod._GRID_ROWS, top)], lo
+    # a 1-D input rising through many heights: no block's shifts match the
+    # first block's, so each builds a table at its own N, and the call
+    # gives the bits of its blocks evaluated one call each
+    s = 0.5 + 1j * np.geomspace(10.0, 1e4, 200)
+    blocks = [s[a : a + zeta_mod._GRID_ROWS]
+              for a in range(0, len(s), zeta_mod._GRID_ROWS)]
+    before = len(builds)
+    got = zeta_many(s)
+    assert builds[before:] == [
+        (len(blk), zeta_mod._em_N(float(np.max(blk.imag)))) for blk in blocks]
+    assert np.array_equal(got, np.concatenate([zeta_many(blk) for blk in blocks]))
 
-    def climb():
-        for lo in heights:
-            s = 1 + 1 / math.log(1000.5) + 1j * _panel_grid(lo, 64, 1.0, 16)
-            _assert_pointwise(s, zeta_many(s), lo)
-            sizes.append(zeta_mod._held.shifts[2].shape)
 
-    on_fresh_thread(climb)
-    assert len(builds) == 1
-    cap = zeta_mod._em_N(zeta_mod.T_MAX)
-    assert all(rows == zeta_mod._GRID_ROWS and cols <= cap for rows, cols in sizes)
-    assert sizes[-1][1] == cap
+def test_zeta_many_does_not_depend_on_earlier_calls():
+    # the same grid gives the same bits whether or not another grid was
+    # evaluated first on the same thread
+    b = 1 + 1 / math.log(1000.5)
+    first = b + 1j * _panel_grid(0.0, 100, 1.0, 16)
+    s = b + 1j * _panel_grid(3062.0, 100, 1.0, 16)
+    alone = on_fresh_thread(zeta_many, s)
+    after = on_fresh_thread(lambda: (zeta_many(first), zeta_many(s))[1])
+    assert np.array_equal(alone, after)
 
 
-def test_zeta_grid_reuse_is_per_thread():
+def test_concurrent_sweeps_equal_serial_ones():
     # grids of different widths swept on concurrent threads (more threads
     # than cores, switching often) give the serial result bit for bit
     b = 1 + 1 / math.log(1000.5)
@@ -195,7 +205,7 @@ def test_zeta_grid_reuse_is_per_thread():
             start.wait()
         return [zeta_many(s) for s in grids[w]]
 
-    serial = {w: on_fresh_thread(sweep, w) for w in grids}
+    serial = {w: sweep(w) for w in grids}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
