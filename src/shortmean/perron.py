@@ -20,9 +20,10 @@ _REFINE_BELOW, unit-height above), so the rows of the (panels, 16) node
 grid are shifts of one another by whole panel widths.  F_eval takes such
 a grid whole: zeta(s), zeta(2s) and ln G go through the shifted-row
 kernel `zeta._dirichlet_grid`.  Every block of such a grid has the same
-row shifts, so each of the three sums builds one table of their
-exponentials per call and every block slices it.  The one extra panel
-up to an off-grid T is a grid of one row.
+row shifts and every row the same column offsets, so each of the three
+sums builds two tables per call, one of the row shifts' exponentials and
+one of the column offsets', and every block slices both.  The one extra
+panel up to an off-grid T is a grid of one row.
 """
 
 from __future__ import annotations

@@ -7,12 +7,16 @@ real power series in extended precision.
     s[k] = s[0] + d_k: equal quadrature panels with the same nodes, or any
     1-D array taken as one column.  Every direct sum, here and in
     `perron.ln_G_line`, goes through one kernel, `_dirichlet_grid`
-    (multi-evaluation after Odlyzko-Schoenhage): in each block of 64 rows
-    a term is the product of its exponential at the block's first row and
-    that of its row's shift, summed by one matrix product.  Each kernel
-    call builds one table of row-shift exponentials, which every block
-    with the same shifts slices, and drops it when it returns, so a value
-    does not depend on earlier calls.  `zeta_em` evaluates one block;
+    (multi-evaluation after Odlyzko-Schoenhage).  Such a grid is a tensor
+    grid: in the block of 64 rows from row a, s[a + k, j] = s[a, 0] + d_k
+    + c_j, with the same column offsets c_j in every row, so a term
+    factors into three exponentials, e^{-s lam} = e^{-s[a, 0] lam}
+    e^{-d_k lam} e^{-c_j lam}: one N-vector exp per block times a
+    column table and a row-shift table, summed by one matrix product.
+    Each kernel call builds one column table, and one row-shift table
+    that every block with the same shifts slices, and drops both when it
+    returns, so a value does not depend on earlier calls.  `zeta_em`
+    evaluates one block;
   * `zeta_hp` - one point at working precision, from mpmath's `mp.zeta`
     (Borwein's algorithm; P. Borwein, "An efficient algorithm for the
     Riemann zeta function", 2000).  It serves `constants.pi_function` and
@@ -97,72 +101,82 @@ def _as_grid(s):
 
 def _shift_table(d, lam):
     """e^{-d_k lam_n}, shape (len(d), len(lam)): the one place a row-shift
-    table is built."""
-    return np.exp(-np.multiply.outer(d, lam))
+    or column table is built, in place, so a build holds one table's
+    memory rather than two."""
+    table = np.multiply.outer(d, lam)
+    return np.exp(np.negative(table, out=table), out=table)
 
 
 def _blocks(s, lam, widths=None):
-    """(a, rows, shift) for each block rows = s[a : a + _GRID_ROWS] of a
-    grid s of shifted rows: shift = e^{-d_k lam_n} for its row shifts
-    d_k = rows[k, 0] - rows[0, 0] and n < its width (widths[i] for block
-    i, else len(lam)).
+    """(a, rows, shift, cols) for each block rows = s[a : a + _GRID_ROWS]
+    of a grid s of shifted rows, s[k, j] = s[k, 0] + c_j: shift =
+    e^{-d_k lam_n} for its row shifts d_k = rows[k, 0] - rows[0, 0] and
+    cols = e^{-c_j lam_n} for the column offsets c_j = s[0, j] - s[0, 0],
+    both for n < its width (widths[i] for block i, else len(lam)).
 
     Every column of s must agree with column 0 to tol = 8 eps
-    max(1, max|s|), else ValueError.  The call builds one table from the
-    first block's d, as wide as the widest block whose d agrees with it to
-    tol, and each such block takes a slice of it; any other block (the
-    uneven panels of a halving round, a 1-D s spanning many heights)
-    builds its own.  Nothing outlives the call.  A slice gives the first
-    block's d_k, not this block's; both are differences of node heights
-    that each carry a rounding of about an ulp of t, so a slice moves a
-    node by about an ulp of t: the rounding the node already carries, and
-    within the tol by which any column may stray from column 0.
+    max(1, max|s|), else ValueError.  The call first builds one column
+    table, as wide as the widest block, and every block takes a slice of
+    it (a 1-D s, one column, has a column table of ones).  It then builds
+    one row-shift table from the first block's d, as wide as the widest
+    block whose d agrees with it to tol, and each such block takes a
+    slice of it; any other block (the uneven panels of a halving round,
+    a 1-D s spanning many heights) builds its own.  Nothing outlives the
+    call.  A slice gives the first block's d_k, and s[a, 0] + c_j stands
+    for s[a, j]; each differs from this block's own value by about an ulp
+    of t: the rounding the node already carries, and within the tol by
+    which any column may stray from column 0.
     """
     if not len(s):
         return
     tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(s)))
-    if np.any(np.abs((s - s[:, :1]) - (s[0] - s[0, 0])) > tol):
+    c = s[0] - s[0, 0]
+    if np.any(np.abs((s - s[:, :1]) - c) > tol):
         raise ValueError("grid rows are not shifts of one another")
     starts = range(0, len(s), _GRID_ROWS)
     widths = [len(lam)] * len(starts) if widths is None else widths
+    cols = _shift_table(c, lam[: max(widths)])
     ds = [s[a : a + _GRID_ROWS, 0] - s[a, 0] for a in starts]
     same = [not np.any(np.abs(d - ds[0][: len(d)]) > tol) for d in ds]
     table = _shift_table(ds[0], lam[: max(w for w, m in zip(widths, same) if m)])
     for a, d, m, w in zip(starts, ds, same, widths):
         shift = table[: len(d), :w] if m else _shift_table(d, lam[:w])
-        yield a, s[a : a + _GRID_ROWS], shift
+        yield a, s[a : a + _GRID_ROWS], shift, cols[:, :w]
 
 
-def _block_sum(coef, lam, rows, shift):
-    """sum_n coef_n e^{-s lam_n} on one block: coef e^{-s lam} at its first
-    row (J x N) times its row shifts (rows x N), one matrix product.  Each
-    term is the product of two exponentials, so no long recurrence
-    accumulates rounding; their moduli are e^{-Re s[0] lam} and
-    e^{-Re d lam}, so real parts within a block that differ by about
-    700 / max(lam) or more would under- and overflow."""
-    return shift @ (coef * np.exp(-np.multiply.outer(rows[0], lam))).T
+def _block_sum(coef, lam, rows, shift, cols):
+    """sum_n coef_n e^{-s lam_n} on one block, s[k, j] = rows[0, 0] + d_k +
+    c_j: coef e^{-rows[0, 0] lam} (one N-vector exp) times the column
+    table (J x N), times the row shifts (rows x N) by one matrix product.
+    Each term is the product of three exponentials, so no long recurrence
+    accumulates rounding.  Their moduli are e^{-Re s[0, 0] lam},
+    e^{-Re d_k lam} and e^{-Re c_j lam}, so keep |Re d_k| max(lam) within a
+    block, and |Re c_j| max(lam) across a row, well under about 700, or
+    the factors under- and overflow."""
+    return shift @ (cols * (coef * np.exp(-rows[0, 0] * lam))).T
 
 
 def _dirichlet_grid(coef, lam, s):
     """sum_n coef_n e^{-s lam_n}, shaped like s, for s whose rows are
     shifts of one another, or any 1-D s (multi-evaluation after
-    Odlyzko-Schoenhage): one row-shift table per call (`_blocks`) and one
-    matrix product per block of _GRID_ROWS rows (`_block_sum`)."""
+    Odlyzko-Schoenhage): e^{-s lam} = e^{-s[a, 0] lam} e^{-d_k lam}
+    e^{-c_j lam}, with two tables per call (`_blocks`) and one matrix
+    product per block of _GRID_ROWS rows (`_block_sum`)."""
     grid = _as_grid(s)
     out = np.empty_like(grid)
-    for a, rows, shift in _blocks(grid, lam):
-        out[a : a + _GRID_ROWS] = _block_sum(coef, lam, rows, shift)
+    for a, rows, shift, cols in _blocks(grid, lam):
+        out[a : a + _GRID_ROWS] = _block_sum(coef, lam, rows, shift, cols)
     return out.reshape(np.shape(s))
 
 
-def zeta_em(s, N, shift):
+def zeta_em(s, N, lam, shift, cols):
     """zeta on one block s of shifted rows by Euler-Maclaurin with N terms.
-    `shift` holds e^{-d_k ln n}, n <= N, for the block's row shifts d: a
-    slice of the one table of the `zeta_many` call, or the block's own
-    (`_blocks`)."""
-    lam = np.log(np.arange(1, N + 1, dtype=float))
+    lam holds ln n, n <= N, and `shift` and `cols` the block's row-shift
+    and column tables from `_blocks`, so its direct sum is
+    e^{-s[0, 0] lam} e^{-d_k lam} e^{-c_j lam} (`_block_sum`)."""
     n_pow, boundary, corr = _em_tail(s, N)
-    return _block_sum(1.0, lam, s, shift) + n_pow * N / (s - 1.0) + boundary + corr
+    return (_block_sum(1.0, lam, s, shift, cols) + n_pow * N / (s - 1.0)
+            + boundary + corr)
 
 
 def zeta_many(s):
@@ -179,8 +193,9 @@ def zeta_many(s):
     The rows of a 2-D s must be shifts of one another (ValueError
     otherwise); a 1-D s is one column.  Each block of _GRID_ROWS rows is one
     `zeta_em` call, its N sized for that block's top height; the call's
-    one shift table (`_blocks`) is as wide as the N of the top block, and
-    each block takes its first N columns.
+    ln n, its column table and its one row-shift table (`_blocks`) are as
+    wide as the N of the top block, and each block takes its first N
+    columns.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s == 1.0):
@@ -190,8 +205,8 @@ def zeta_many(s):
           for a in range(0, len(grid), _GRID_ROWS)]
     lam = np.log(np.arange(1, max(Ns, default=0) + 1, dtype=float))
     out = np.empty_like(grid)
-    for (a, rows, shift), N in zip(_blocks(grid, lam, Ns), Ns):
-        out[a : a + _GRID_ROWS] = zeta_em(rows, N, shift)
+    for (a, rows, shift, cols), N in zip(_blocks(grid, lam, Ns), Ns):
+        out[a : a + _GRID_ROWS] = zeta_em(rows, N, lam[:N], shift, cols)
     return out.reshape(s.shape)
 
 

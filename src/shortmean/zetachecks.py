@@ -10,9 +10,10 @@ second moment is one sweep over the gaps between the requested heights:
 16-node Gauss-Legendre on equal panels, with adaptive halving where a
 null rule on the same 16 values estimates an error above 1e-4 relative.
 Every round of a gap has panels of one width, so its nodes form one grid
-whose rows are height shifts: one kernel call, with one table of those
-shifts' exponentials that every block sharing the first block's shifts
-slices.  The arc samples go in as one column.
+whose rows are height shifts: one kernel call, with two tables of
+exponentials, one of the column offsets within a panel that every block
+slices and one of the row shifts that every block sharing the first
+block's shifts slices.  The arc samples go in as one column.
 
 The one 16-node rule, `_gl16`, also serves the Perron panels; it and the
 null rule are built on first use, so commands that integrate nothing

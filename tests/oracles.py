@@ -369,8 +369,8 @@ def small_primes_termwise(lnpi, ef: EulerForm, c, N, log_tol):
 
 
 # ---------------------------------------------------------------------------
-# zeta: scalar form, Taylor series in u, direct prime zeta, sawtooth
-# integral, first zero
+# zeta: scalar form, unfactored block sum, Taylor series in u, direct prime
+# zeta, sawtooth integral, first zero
 # (from zeta)
 
 
@@ -387,6 +387,13 @@ def zeta_terms(s):
     direct = np.exp(-np.multiply.outer(s, np.log(np.arange(1, N + 1.0)))).sum(axis=-1)
     n_pow, boundary, corr = _em_tail(s, N)
     return direct + n_pow * N / (s - 1.0) + boundary + corr
+
+
+def unfactored_block_sum(coef, lam, rows, shift):
+    """sum_n coef_n e^{-s lam_n} on one block of shifted rows without a
+    column table: the exponentials of the block's first row (J x N) taken
+    afresh, times its row shifts (rows x N), one matrix product."""
+    return shift @ (coef * np.exp(-np.multiply.outer(rows[0], lam))).T
 
 
 def zeta_taylor_mpmath(m, N):

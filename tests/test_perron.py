@@ -150,9 +150,9 @@ def test_kernel_reuse_across_F_eval_sums():
 
 def test_F_eval_builds_each_shift_table_once(monkeypatch):
     # 50 blocks of unit panels, as on the Perron contour above
-    # _REFINE_BELOW: zeta(s), zeta(2s) and ln G each build one table of
-    # row-shift exponentials, as wide as the sum of their top block, and
-    # every block takes a slice of it
+    # _REFINE_BELOW: zeta(s), zeta(2s) and ln G each build one column
+    # table, then one table of row-shift exponentials, both as wide as the
+    # sum of their top block, and every block takes a slice of each
     builds, build = [], zeta._shift_table
 
     def counting(d, lam):
@@ -164,9 +164,9 @@ def test_F_eval_builds_each_shift_table_once(monkeypatch):
     values = F_eval(MultFnId.INV_TWO_OMEGA, s)
     assert np.all(np.isfinite(values))
     top = float(np.max(s.imag))
-    rows = zeta._GRID_ROWS
-    assert builds == [(rows, zeta._em_N(top)), (rows, zeta._em_N(2 * top)),
-                      (rows, len(ln_G_powers()))]
+    widths = [zeta._em_N(top), zeta._em_N(2 * top), len(ln_G_powers())]
+    assert builds[0::2] == [(16, w) for w in widths]
+    assert builds[1::2] == [(zeta._GRID_ROWS, w) for w in widths]
 
 
 def test_ln_G_line_grid_matches_rows():
@@ -180,6 +180,19 @@ def test_ln_G_line_grid_matches_rows():
             grid = ln_G_line(ef, s)
             rows = np.array([ln_G_terms(ef, row) for row in s])
             assert np.max(np.abs(grid - rows)) <= 1e-12, (fid, lo)
+
+
+def test_ln_G_line_column_table_at_the_largest_frequencies():
+    # unit panels at t ~ 3090 over three blocks, the last partial, with
+    # columns that also step in real part: the column table's phases and
+    # moduli e^{-c_j lam} reach lam = 56 ln 2 ~ 39
+    b = 1 + 1 / math.log(1000.5)
+    s = b + 0.02 * np.arange(16) + 1j * _unit_panels(3090.0, 150)
+    assert max(n * math.log(p) for n, p in ln_G_powers()) > 38
+    for fid in ALL_FNS:
+        ef = euler_form(fid, _LNG_ORDER)
+        rows = np.array([ln_G_terms(ef, row) for row in s])
+        assert np.max(np.abs(ln_G_line(ef, s) - rows)) <= 1e-12, fid
 
 
 def test_perron_truncated_basics():

@@ -17,6 +17,7 @@ from oracles import (
     hardy_z,
     on_fresh_thread,
     prime_zeta_direct,
+    unfactored_block_sum,
     zeta,
     zeta_integral_rep,
     zeta_taylor_mpmath,
@@ -118,9 +119,38 @@ def _assert_pointwise(s, got, label):
     assert np.all(np.abs(got - flat) <= tol), label
 
 
+def test_zeta_grid_columns_may_shift_in_real_part():
+    # columns sigma_j + i t_k, and columns sigma_j + i (t_k + u_j): the
+    # column offsets c_j have a real part, alone or with a height, so the
+    # column table scales each column's terms by n^{-Re c_j}; equal and
+    # uneven row heights, each over two blocks
+    sigma = 0.5 + 0.1 * np.arange(16)
+    u = _panel_grid(0.0, 1, 1.0, 16)[0]
+    for t in (10.0 + 7.5 * np.arange(100), np.geomspace(10.0, 2e3, 100)):
+        for c in (sigma, sigma + 1j * u):
+            s = np.add.outer(1j * t, c)
+            _assert_pointwise(s, zeta_many(s), (t[0], t[1], c[1]))
+
+
+def test_one_column_block_sum_gives_the_unfactored_bits():
+    # a 1-D s is one column: its column table is ones, so each block gives
+    # exactly the bits of its first row exponentiated afresh
+    lam = np.log(np.arange(1, zeta_mod._em_N(1e4) + 1.0))
+    coef = np.random.default_rng(4).uniform(-1.0, 1.0, len(lam))
+    for s in (0.5 + 1j * np.geomspace(10.0, 1e4, 200),
+              1.2 + 1j * (3062.0 + 0.25 * np.arange(200))):
+        for a, rows, shift, cols in zeta_mod._blocks(zeta_mod._as_grid(s), lam):
+            assert cols.shape == (1, len(lam)) and np.all(cols == 1.0)
+            for c in (1.0, coef):
+                got = zeta_mod._block_sum(c, lam, rows, shift, cols)
+                want = unfactored_block_sum(c, lam, rows, shift)
+                assert np.array_equal(got, want), a
+
+
 def _reuse_sequence():
     """(s, label) for grids whose blocks share the call's one table of
-    row-shift exponentials, and for one whose blocks each build their own."""
+    row-shift exponentials, and for one whose blocks each build their own;
+    every block of each shares the call's one column table."""
     b = 1 + 1 / math.log(1000.5)
     for lo in (0.0, 3062.0, 9900.0):
         yield b + 1j * _panel_grid(lo, 100, 1.0, 16), f"unit t>={lo}"
@@ -134,7 +164,8 @@ def _reuse_sequence():
 
 
 def _count_builds(monkeypatch):
-    """A list of the (rows, columns) of every row-shift table built."""
+    """A list of the (rows, columns) of every exponential table built: per
+    call, its column table first, then its row-shift tables."""
     builds, build = [], zeta_mod._shift_table
 
     def counting(d, lam):
@@ -150,15 +181,18 @@ def test_zeta_grid_reuse_matches_fresh_exponentials(monkeypatch):
     for s, label in _reuse_sequence():
         before = len(builds)
         _assert_pointwise(s, zeta_many(s), label)
-        counts.append(len(builds) - before)
-    # a grid of equal panels builds one table per call, however many
-    # blocks it has; every block of the uneven grid builds its own
+        cols, *rows = builds[before:]
+        assert cols == (s.shape[1], zeta_mod._em_N(float(np.max(s.imag)))), label
+        counts.append(len(rows))
+    # a grid of equal panels builds one row-shift table per call, however
+    # many blocks it has; every block of the uneven grid builds its own
     assert counts == [1, 1, 1, 1, math.ceil(160 / 64)]
 
 
 def test_shift_table_is_no_wider_than_the_top_block(monkeypatch):
     # two blocks of unit panels climbing to T_MAX: each call builds one
-    # table, as wide as the N of its top block
+    # column table and one row-shift table, as wide as the N of its top
+    # block
     builds = _count_builds(monkeypatch)
     b = 1 + 1 / math.log(1000.5)
     for lo in [0.0] + [zeta_mod.T_MAX * 2.0**-k - 100 for k in range(8, -1, -1)]:
@@ -166,16 +200,21 @@ def test_shift_table_is_no_wider_than_the_top_block(monkeypatch):
         before = len(builds)
         _assert_pointwise(s, zeta_many(s), lo)
         top = zeta_mod._em_N(float(np.max(s.imag)))
-        assert builds[before:] == [(zeta_mod._GRID_ROWS, top)], lo
-    # a 1-D input rising through many heights: no block's shifts match the
-    # first block's, so each builds a table at its own N, and the call
+        cols, *rows = builds[before:]
+        assert cols == (16, top), lo
+        assert rows == [(zeta_mod._GRID_ROWS, top)], lo
+    # a 1-D input rising through many heights: one column (a table of
+    # ones) as wide as the top block's N; no block's shifts match the first
+    # block's, so each builds a row-shift table at its own N, and the call
     # gives the bits of its blocks evaluated one call each
     s = 0.5 + 1j * np.geomspace(10.0, 1e4, 200)
     blocks = [s[a : a + zeta_mod._GRID_ROWS]
               for a in range(0, len(s), zeta_mod._GRID_ROWS)]
     before = len(builds)
     got = zeta_many(s)
-    assert builds[before:] == [
+    cols, *rows = builds[before:]
+    assert cols == (1, zeta_mod._em_N(float(np.max(s.imag))))
+    assert rows == [
         (len(blk), zeta_mod._em_N(float(np.max(blk.imag)))) for blk in blocks]
     assert np.array_equal(got, np.concatenate([zeta_many(blk) for blk in blocks]))
 
