@@ -17,14 +17,14 @@ reproduces the interval coefficients exactly.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
 from .constants import CONSTANTS_DPS, gamma_route_K, pi_taylor
 from .eulerform import euler_form
-from .functions import ALL_FNS, ZETA_POWER_DENOM, MultFnId, spec
+from .functions import ZETA_POWER_DENOM, MultFnId, spec
 from .sieve import interval_sum
 from .zetachecks import GROWTH_C
 
@@ -46,29 +46,13 @@ def admissible_alpha(k: int) -> Fraction:
     return 1 - 1 / (DENSITY_EXPONENT + GROWTH_C / k)
 
 
-@dataclass(frozen=True)
-class ExponentTable:
-    c: Fraction = GROWTH_C
-    densityExponent: Fraction = DENSITY_EXPONENT
-    k: dict = field(default_factory=lambda: dict(ZETA_POWER_DENOM))
-    alpha: dict = field(
-        default_factory=lambda: {
-            fid: admissible_alpha(ZETA_POWER_DENOM[fid]) for fid in ALL_FNS
-        }
-    )
-
-    def to_json_dict(self):
-        return {
-            "c": f"{self.c.numerator}/{self.c.denominator}",
-            "densityExponent": (
-                f"{self.densityExponent.numerator}/{self.densityExponent.denominator}"
-            ),
-            "k": {str(fid): self.k[fid] for fid in ALL_FNS},
-            "alpha": {
-                str(fid): f"{a.numerator}/{a.denominator}"
-                for fid, a in ((f, self.alpha[f]) for f in ALL_FNS)
-            },
-        }
+# the admissible-interval exponents, as `predict` reports them
+EXPONENTS = {
+    "c": GROWTH_C,
+    "densityExponent": DENSITY_EXPONENT,
+    "k": dict(ZETA_POWER_DENOM),
+    "alpha": {fid: admissible_alpha(k) for fid, k in ZETA_POWER_DENOM.items()},
+}
 
 
 @dataclass(frozen=True)
@@ -77,15 +61,14 @@ class HThreshold:
     alpha: Fraction
     theorem: float  # x^alpha e^{(ln x)^{0.1}}
     proof: float    # x^alpha e^{PROOF_C2 (ln x)^{0.8}}
-    note: str = H_THRESHOLD_NOTE
 
     def to_json_dict(self):
         return {
             "fid": str(self.fid),
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
+            "alpha": self.alpha,
             "theorem": self.theorem,
             "proof": self.proof,
-            "flags": [self.note],
+            "flags": [H_THRESHOLD_NOTE],
         }
 
 
@@ -215,9 +198,7 @@ class PredictionReport:
             "rel_err": self.rel_err,
             "budget": self.budget,
             "lagrange": self.lagrange,
-            "thresholds": (
-                self.thresholds.to_json_dict() if self.thresholds else None
-            ),
+            "thresholds": self.thresholds,
             "tolerance": self.tolerance,
             "passed": self.passed,
             "flags": [flag] if flag else [],
@@ -227,16 +208,22 @@ class PredictionReport:
 
 def compare(fid: MultFnId, x: int, h: int, N: int, tolerance: float = 0.05,
             threads: int = 1) -> PredictionReport:
-    """Exact sieve sum vs N-term prediction over (x, x+h]."""
-    s = interval_sum(fid, x, h, threads=threads)
+    """Exact sieve sum vs N-term prediction over (x, x+h].
+
+    The tolerance, a bound on the relative error, is checked before the
+    sieve runs.
+    """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"need a finite tolerance >= 0, not {tolerance!r}")
+    exact = interval_sum(fid, x, h, threads=threads)
     pred, budget, lagrange = predict(fid, x, h, N)
-    exact_f = s.approx
+    exact_f = float(exact)
     abs_err = abs(pred - exact_f)
     rel_err = abs_err / abs(exact_f) if exact_f else math.inf
     thresholds = h_threshold(fid, float(x)) if x >= 10 else None
     return PredictionReport(
         fid=fid, x=x, h=h, N=N,
-        exact=s.exact, exact_float=exact_f,
+        exact=exact, exact_float=exact_f,
         prediction=pred, abs_err=abs_err, rel_err=rel_err,
         budget=budget, lagrange=lagrange,
         thresholds=thresholds, tolerance=tolerance,

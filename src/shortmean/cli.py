@@ -13,12 +13,7 @@ import math
 import sys
 
 from . import __version__
-from .asymptotics import (
-    ExponentTable,
-    compare,
-    h_threshold,
-    predict,
-)
+from .asymptotics import EXPONENTS, compare, h_threshold, predict
 from .constants import constants_report, ramanujan_A0
 from .eulerform import euler_form
 from .functions import ALL_FNS, MultFnId
@@ -28,13 +23,9 @@ from .sieve import CapacityError, interval_sums_all
 from .zetachecks import second_moment
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fids(name):
@@ -43,7 +34,7 @@ def _fids(name):
     try:
         return [MultFnId(name)]
     except ValueError:
-        raise UsageError(f"unknown function selector {name!r}") from None
+        raise ValueError(f"unknown function selector {name!r}") from None
 
 
 def _floats(text, what):
@@ -51,11 +42,11 @@ def _floats(text, what):
     try:
         vals = [float(v) for v in text.split(",") if v]
     except ValueError:
-        raise UsageError(f"bad {what} list {text!r}") from None
+        raise ValueError(f"bad {what} list {text!r}") from None
     if not all(map(math.isfinite, vals)):
-        raise UsageError(f"non-finite value in {what} list {text!r}")
+        raise ValueError(f"non-finite value in {what} list {text!r}")
     if not vals:
-        raise UsageError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     return vals
 
 
@@ -133,20 +124,14 @@ def _build_parser():
 def _cmd_sum(args):
     fids = _fids(args.fn)
     if args.h < 1:
-        raise UsageError("need h >= 1")
+        raise ValueError("need h >= 1")
     sums = interval_sums_all(args.x, args.h, threads=args.threads, fids=fids)
     payload = {
         "report": "sum",
         "x": args.x,
         "h": args.h,
         "results": [
-            {
-                "fid": str(fid),
-                "exact": (
-                    f"{sums[fid].exact.numerator}/{sums[fid].exact.denominator}"
-                ),
-                "float": sums[fid].approx,
-            }
+            {"fid": str(fid), "exact": sums[fid], "float": float(sums[fid])}
             for fid in fids
         ],
     }
@@ -182,14 +167,14 @@ def _cmd_predict(args):
             "lagrange": lagrange,
         }
         if args.x >= 10:
-            entry["thresholds"] = h_threshold(fid, float(args.x)).to_json_dict()
+            entry["thresholds"] = h_threshold(fid, float(args.x))
         results.append(entry)
     payload = {
         "report": "predict",
         "x": args.x,
         "h": args.h,
         "N": args.N,
-        "exponents": ExponentTable().to_json_dict(),
+        "exponents": EXPONENTS,
         "results": results,
     }
     return json_report(payload)
@@ -197,14 +182,13 @@ def _cmd_predict(args):
 
 def _cmd_compare(args):
     fids = _fids(args.fn)
-    reports = [
-        compare(fid, args.x, args.h, args.N,
-                tolerance=args.tolerance, threads=args.threads)
-        for fid in fids
-    ]
     payload = {
         "report": "compare",
-        "results": [r.to_json_dict() for r in reports],
+        "results": [
+            compare(fid, args.x, args.h, args.N,
+                    tolerance=args.tolerance, threads=args.threads)
+            for fid in fids
+        ],
     }
     return json_report(payload)
 
@@ -243,10 +227,10 @@ def _cmd_perron(args):
         }
         return json_report(payload)
     if args.format != "json":
-        raise UsageError(f"--format {args.format} needs a comma list of T")
+        raise ValueError(f"--format {args.format} needs a comma list of T")
     T = _floats(args.T, "T")[0] if args.T else 1000.0
     run = perron_truncated(fid, args.x, T)
-    return json_report({"report": "perron", "run": run.to_json_dict()})
+    return json_report({"report": "perron", "run": run})
 
 
 def _cmd_zeta_moment(args):
@@ -275,18 +259,21 @@ def _cmd_series(args):
     payload = {
         "report": "series",
         "order": args.order,
-        "results": [euler_form(fid, args.order).to_json_dict() for fid in fids],
+        "results": [euler_form(fid, args.order) for fid in fids],
     }
     return json_report(payload)
 
 
 def _parse_h_rule(text):
     if not text.startswith("x^"):
-        raise UsageError(f"bad h rule {text!r}; expected like x^0.7")
+        raise ValueError(f"bad h rule {text!r}; expected like x^0.7")
     try:
-        return float(text[2:])
+        expo = float(text[2:])
     except ValueError:
-        raise UsageError(f"bad h rule {text!r}") from None
+        raise ValueError(f"bad h rule {text!r}") from None
+    if not math.isfinite(expo):
+        raise ValueError(f"non-finite exponent in h rule {text!r}")
+    return expo
 
 
 def _cmd_sweep(args):
@@ -343,9 +330,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         payload = _HANDLERS[args.cmd](args)
         return _emit(args, payload)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,6 +69,8 @@ from .powerseries import (
 from .sieve import _mobius_upto, primes_up_to
 from .zeta import (
     FIXED_GUARD_BITS,
+    GUARD_DPS,
+    ROUNDING_ULPS,
     _prime_zeta_kmax,
     _prime_zeta_mobius,
     prime_zeta_hp,
@@ -198,7 +200,7 @@ class PiExpansion:
     def to_json_dict(self):
         return {
             "fid": str(self.fid),
-            "a": f"{self.a.numerator}/{self.a.denominator}",
+            "a": self.a,
             "Pi": [mp.nstr(v, 30) for v in self.Pi],
             "K": [mp.nstr(v, 30) for v in self.K],
             "nodes": self.nodes,
@@ -218,10 +220,6 @@ def gamma_route_K(a: Fraction, n: int, Pi_n):
 
 # ---------------------------------------------------------------------------
 # Taylor coefficients of Pi(u) by power-series arithmetic in u
-
-_GUARD_DPS = 10        # working digits above max(mp.dps, CONSTANTS_DPS)
-_ROUNDING_ULPS = 1000  # rounding bound, in units of mp.eps per unit of size
-
 
 def _series_log(c):
     """Taylor coefficients of ln c(u), for a real series with c[0] > 0."""
@@ -466,21 +464,21 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
     fixed-point truncations of both, and rounding, each a bound eps_j
     on coefficient j of ln Pi, carried through exp by the majorant
     exp(|ln Pi|) (exp(eps) - 1).  The Pi_n
-    carry _GUARD_DPS digits above CONSTANTS_DPS or mp.dps, whichever is
+    carry GUARD_DPS digits above CONSTANTS_DPS or mp.dps, whichever is
     more; the K_n are rounded to that precision.  `nodes` counts the real
     points at which zeta is expanded in u by `zeta_series_hp`: s = 1 (for
     w), s = 2 and each m with c_m != 0.
     """
     if not 0 <= N <= 8:
         raise ValueError("need 0 <= N <= 8")
-    with mp.workdps(max(mp.dps, CONSTANTS_DPS)), mp.extradps(_GUARD_DPS):
+    with mp.workdps(max(mp.dps, CONSTANTS_DPS)), mp.extradps(GUARD_DPS):
         log_tol = -mp.dps * math.log(10)
         lnpi = _LogSum(N)
         M, m_cut = _large_prime_cut(ef, N, log_tol)
         c = _large_prime_coeffs(ef, M)
         k_cut = _add_small_primes(lnpi, ef, c, N, log_tol)
         used, z_cut = _add_zeta_factors(lnpi, ef, c, N)
-        eps = [k + m + z + _ROUNDING_ULPS * mp.eps * r
+        eps = [k + m + z + ROUNDING_ULPS * mp.eps * r
                for k, m, z, r in zip(k_cut, m_cut, z_cut, lnpi.size)]
 
         Pi = _series_exp(lnpi.value)
@@ -488,7 +486,7 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
         major = _series_exp([abs(x) for x in lnpi.value])
         growth = _series_exp(eps)
         growth[0] = mp.expm1(eps[0])
-        budget = [x + _ROUNDING_ULPS * mp.eps * y
+        budget = [x + ROUNDING_ULPS * mp.eps * y
                   for x, y in zip(mul_coeffs(major, growth), major)]
     with mp.workdps(max(mp.dps, CONSTANTS_DPS)):
         K = [gamma_route_K(ef.a, n, Pi[n]) for n in range(N + 1)]
@@ -503,11 +501,11 @@ def pi_taylor(ef: EulerForm, N: int) -> PiExpansion:
 
 
 def constants_report(fid: MultFnId, N=4):
-    """JSON-ready constants for one function id."""
+    """The constants of one function id, as a dict for `reports.json_report`."""
     ef = euler_form(fid)
     with mp.workdps(CONSTANTS_DPS):
         d = pi_taylor(ef, N).to_json_dict()
-    d["b"] = f"{ef.b.numerator}/{ef.b.denominator}"
+    d["b"] = ef.b
     d["flags"] = list(ef.flags)
     return d
 

@@ -21,7 +21,8 @@ Two derived values differ from commonly quoted displays; the text is
 
 `euler_form` is the one derivation, for the four target functions and
 for 1/tau(n) ("inv_tau", behind Ramanujan's A0).  A single g_n is
-`EulerForm.g_at(n)`; the CLI serializes the record via `to_json_dict`.
+`EulerForm.g_at(n)`.  The CLI hands the record to `reports.json_report`,
+which writes its `to_json_dict`, Fractions included.
 """
 
 from __future__ import annotations
@@ -66,16 +67,12 @@ class EulerForm:
     def to_json_dict(self):
         return {
             "fid": str(self.fid),
-            "a": _frac_str(self.a),
-            "b": _frac_str(self.b),
-            "g": [_frac_str(gn) for gn in self.g],
+            "a": self.a,
+            "b": self.b,
+            "g": self.g,
             "order": self.order,
             "flags": list(self.flags),
         }
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 _FORMS = {}  # (fid, order) -> EulerForm; the record is frozen, so shared

@@ -174,7 +174,7 @@ def _perron_setup(fid, x, Ts):
     if Ts[-1] > T_MAX / 2:
         raise ValueError(
             f"need T <= {T_MAX / 2:g}: zeta(2s) is evaluated at height 2T")
-    return 1 + 1 / math.log(x), float(interval_sum(fid, 0, int(x)).approx)
+    return 1 + 1 / math.log(x), float(interval_sum(fid, 0, int(x)))
 
 
 def perron_truncated(fid: MultFnId, x: float, T: float) -> PerronRun:

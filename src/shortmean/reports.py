@@ -4,6 +4,11 @@ Byte-identical output is a contract here: floats serialize via Python's
 shortest round-trip repr, rationals as "num/den" strings, keys in fixed
 insertion order, and the SVG renderer formats coordinates with a fixed
 precision.  Nothing here depends on thread count, wall clock, or locale.
+
+This is the one place a report value is written.  Records hold their
+`Fraction`s as such and are handed over whole: `json_report` walks
+dicts, lists and each record's `to_json_dict`, and it and `csv_report`
+write every `Fraction` with `_rational`.
 """
 
 from __future__ import annotations
@@ -15,9 +20,13 @@ SCHEMA_JSON = "shortmean-report/1"
 SCHEMA_CSV = "shortmean-csv/1"
 
 
+def _rational(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return _rational(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -36,7 +45,7 @@ def json_report(payload: dict) -> bytes:
 
 def _cell(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return _rational(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -24,14 +24,14 @@ once per segment, by bincount when its largest value is below the
 window's width and by a sort otherwise (a narrow window would not pay
 for 618 k bins), and each distinct key is decoded once into the
 denominators of the requested functions only.  The exact rational sum is
-a short sum of count/value terms, cheap even over 10^8 integers.
+a short sum of count/value terms, cheap even over 10^8 integers;
+`interval_sum` and `interval_sums_all` return it as a Fraction.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, log2, prod
@@ -341,24 +341,17 @@ def _denominator_counts(stats, fids):
 # ---------------------------------------------------------------------------
 # public operations
 
-@dataclass(frozen=True)
-class IntervalSum:
-    fid: MultFnId
-    x: int
-    h: int
-    exact: Fraction
-    approx: float
-
-
 def _counts_to_sums(counts):
-    exact = sum(
-        (Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0)
-    )
-    return exact, float(exact)  # float(Fraction) rounds correctly
+    return sum((Fraction(c, d) for d, c in sorted(counts.items())), Fraction(0))
 
 
 def interval_counts(x: int, h: int, threads: int = 1, fids=ALL_FNS):
-    """Denominator counts of the functions `fids` over x < n <= x+h."""
+    """Denominator counts of the functions `fids` over x < n <= x+h.
+
+    Each finished segment is folded into the totals at once, and at most
+    `threads` segments are in the pool at a time, so memory does not grow
+    with the number of segments.  One thread sieves on the calling thread.
+    """
     if x < 0 or h < 1:
         raise ValueError("need x >= 0 and h >= 1")
     lo, hi = x + 1, x + h
@@ -368,36 +361,38 @@ def interval_counts(x: int, h: int, threads: int = 1, fids=ALL_FNS):
             f"(needs base primes above {BASE_PRIME_BUDGET})"
         )
     base = primes_up_to(isqrt(hi))
-    seg_bounds = [
-        (a, min(a + SEGMENT_WIDTH - 1, hi)) for a in range(lo, hi + 1, SEGMENT_WIDTH)
-    ]
+    totals = {fid: Counter() for fid in fids}
 
-    def work(bounds):
-        a, b = bounds
+    def work(a):
+        b = min(a + SEGMENT_WIDTH - 1, hi)
         return _denominator_counts(_segment_stats(a, b, base), fids)
 
-    totals = {fid: Counter() for fid in fids}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, seg_bounds))
-    else:
-        results = [work(b) for b in seg_bounds]
-    for res in results:  # ascending-segment order; merge is commutative anyway
+    def fold(res):
         for fid in fids:
             totals[fid].update(res[fid])
+
+    starts = range(lo, hi + 1, SEGMENT_WIDTH)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            running = deque()
+            for a in starts:
+                if len(running) == threads:
+                    fold(running.popleft().result())
+                running.append(pool.submit(work, a))
+            for future in running:
+                fold(future.result())
+    else:
+        for a in starts:
+            fold(work(a))
     return totals
 
 
 def interval_sums_all(x: int, h: int, threads: int = 1, fids=ALL_FNS):
-    """IntervalSum for each of `fids` over the same interval (one sieve pass)."""
+    """{fid: the exact sum over x < n <= x+h, a Fraction}, in one sieve pass."""
     totals = interval_counts(x, h, threads=threads, fids=fids)
-    out = {}
-    for fid in fids:
-        exact, approx = _counts_to_sums(totals[fid])
-        out[fid] = IntervalSum(fid=fid, x=x, h=h, exact=exact, approx=approx)
-    return out
+    return {fid: _counts_to_sums(totals[fid]) for fid in fids}
 
 
-def interval_sum(fid: MultFnId, x: int, h: int, threads: int = 1) -> IntervalSum:
+def interval_sum(fid: MultFnId, x: int, h: int, threads: int = 1) -> Fraction:
     """Exact S_j(x;h) = sum over x < n <= x+h of f_j(n), counting f_j only."""
     return interval_sums_all(x, h, threads=threads, fids=(fid,))[fid]

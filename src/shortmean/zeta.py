@@ -231,9 +231,10 @@ def w_hp(s):
 # Taylor series in u of zeta(m - m u) on the real axis (mpmath)
 
 _SERIES_RADII = (0.125, 0.25, 0.5, 1.0, 2.0)  # circles |s - m| = rho for Cauchy
-_SERIES_GUARD_DPS = 10
-_SERIES_ROUNDING_ULPS = 1000  # rounding bound, in guarded ulps per unit of size
-
+# the high-precision series here and in `constants` carry GUARD_DPS more
+# digits, and bound rounding by ROUNDING_ULPS guarded ulps per unit of size
+GUARD_DPS = 10
+ROUNDING_ULPS = 1000
 # fixed-point sums in Python integers keep P = mp.prec + FIXED_GUARD_BITS
 # bits after the point; each truncation adds its own bound
 FIXED_GUARD_BITS = 64
@@ -302,14 +303,14 @@ def zeta_series_hp(ms, N):
         (2m+2k-1)(2m+2k) + 1.  The e of every term added are summed.
 
     Both bounds go into the one returned, with Backlund's and with the
-    rounding of the mpf parts at _SERIES_GUARD_DPS guard digits.
+    rounding of the mpf parts at GUARD_DPS guard digits.
     """
     if N < 0 or any(m < 1 for m in ms):
         raise ValueError("need N >= 0 and integers m >= 1")
     log_tol = -(mp.dps + 3) * math.log(10)
     N0 = _series_N0(mp.dps)
     out = {}
-    with mp.extradps(_SERIES_GUARD_DPS):
+    with mp.extradps(GUARD_DPS):
         P = mp.prec + FIXED_GUARD_BITS
         unit = math.ldexp(1.0, -P)
         with mp.workprec(P + 32):  # within 2^-20 units before the floor
@@ -320,7 +321,7 @@ def zeta_series_hp(ms, N):
         # upper bounds on sum_n (ln n)^j / j!: each entry is within 2 units
         col_sums = [float(sum(col) + 2 * N0) * unit for col in cols]
         bern = [Fraction(1)]  # bern[k] = B_2k
-        rounding = _SERIES_ROUNDING_ULPS * mp.eps
+        rounding = ROUNDING_ULPS * mp.eps
         for m in ms:
             lam = m * ln_N0  # N0^{-s} = N0^{-m} e^{lam u}
             # sum_{n < N0} n^{-s} + N0^{-s}/2, every term positive

@@ -1,5 +1,6 @@
 """Exponent arithmetic, contour heights, prediction models, comparisons."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from mpmath import mp
 
 from oracles import choose_T
+from shortmean import asymptotics
 from shortmean.asymptotics import (
-    ExponentTable,
+    EXPONENTS,
     admissible_alpha,
     compare,
     h_threshold,
@@ -18,6 +20,7 @@ from shortmean.asymptotics import (
 from shortmean.constants import CONSTANTS_DPS, ln_G_hp
 from shortmean.eulerform import euler_form
 from shortmean.functions import ALL_FNS, ZETA_POWER_DENOM, MultFnId
+from shortmean.reports import json_report
 from shortmean.sieve import interval_sum
 
 
@@ -33,11 +36,10 @@ def test_admissible_alpha_rejects_other_k():
 
 
 def test_exponent_table_consistency():
-    table = ExponentTable()
-    assert table.c == Fraction(64, 205)
-    assert table.densityExponent == Fraction(12, 5)
+    assert EXPONENTS["c"] == Fraction(64, 205)
+    assert EXPONENTS["densityExponent"] == Fraction(12, 5)
     for fid in ALL_FNS:
-        assert table.alpha[fid] == admissible_alpha(table.k[fid])
+        assert EXPONENTS["alpha"][fid] == admissible_alpha(EXPONENTS["k"][fid])
 
 
 def test_choose_T_algebraic_inverse():
@@ -66,7 +68,7 @@ def test_h_threshold_dual_values():
         assert th.alpha == admissible_alpha(ZETA_POWER_DENOM[fid])
         assert th.proof > th.theorem  # (ln x)^0.8 beats (ln x)^0.1 here
         assert th.theorem < 1e10
-        assert "mismatch" in th.note
+        assert "mismatch" in th.to_json_dict()["flags"][0]
 
 
 def test_h_threshold_theorem_variant_below_x_on_grid():
@@ -149,10 +151,20 @@ def test_compare_small_full_range():
 def test_compare_report_fields():
     rep = compare(MultFnId.INV_TWO_BIG_OMEGA, 10**8, 10**6, 2)
     assert rep.rel_err < 0.05 and rep.passed
-    d = rep.to_json_dict()
+    d = json.loads(json_report(rep))
     assert d["exact"]["num"].isdigit() and d["exact"]["den"].isdigit()
     assert d["thresholds"]["alpha"] == "319/524"
     assert "runtime_ms" not in d  # no wall clock in the serialization
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_compare_refuses_a_bad_tolerance_before_sieving(tolerance, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(asymptotics, "interval_sum", refuse)
+    with pytest.raises(ValueError, match=repr(tolerance)):
+        compare(MultFnId.INV_TAU_SQ, 10**6, 10**4, 2, tolerance=tolerance)
 
 
 def test_trend_toward_K0():
@@ -168,7 +180,7 @@ def test_trend_toward_K0():
         for x in (10**6, 10**7, 10**8):
             h = int(x**0.7)
             L = math.log(x)
-            s = interval_sum(fid, x, h).approx
+            s = float(interval_sum(fid, x, h))
             dev = abs(s * L ** (1 - a) / h - m4.K[0])
             tail = abs(sum(m4.K[n] / L**n for n in range(1, 5)))
             fluct = 30.0 / math.sqrt(h)

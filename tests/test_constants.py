@@ -19,8 +19,6 @@ from shortmean import constants, zeta
 from shortmean.constants import (
     CONSTANTS_DPS,
     DEFAULT_P0,
-    _GUARD_DPS,
-    _ROUNDING_ULPS,
     _LogSum,
     _add_small_primes,
     _fixed_columns,
@@ -137,7 +135,7 @@ def test_small_primes_match_the_termwise_pass(N, monkeypatch):
     # the integer moments against the mpf term-by-term pass, with the same
     # cuts: within the returned bound and the rounding of both, at the
     # default P and at P = 64 bits, where the truncations outweigh the cuts
-    with mp.workdps(CONSTANTS_DPS + _GUARD_DPS):
+    with mp.workdps(CONSTANTS_DPS + zeta.GUARD_DPS):
         log_tol = -mp.dps * math.log(10)
         guards = (constants.FIXED_GUARD_BITS, 64 - mp.prec)
         for fid in (*ALL_FNS, "inv_tau"):
@@ -150,7 +148,7 @@ def test_small_primes_match_the_termwise_pass(N, monkeypatch):
                 got = _LogSum(N)
                 eps = _add_small_primes(got, ef, c, N, log_tol)
                 for j in range(N + 1):
-                    rounding = _ROUNDING_ULPS * mp.eps * (got.size[j] + want.size[j])
+                    rounding = zeta.ROUNDING_ULPS * mp.eps * (got.size[j] + want.size[j])
                     assert abs(got.value[j] - want.value[j]) <= eps[j] + rounding, (
                         fid, guard, j)
                     assert got.size[j] >= want.size[j] - rounding, (fid, guard, j)
@@ -160,7 +158,7 @@ def test_local_log_bound_covers_a_coarse_fixed_point():
     # at P = 40 bits the truncation of F_p's moments, not its cut, is what
     # the bound on ln F_p must cover
     N, P = 4, 40
-    with mp.workdps(CONSTANTS_DPS + _GUARD_DPS):
+    with mp.workdps(CONSTANTS_DPS + zeta.GUARD_DPS):
         for fid in (*ALL_FNS, "inv_tau"):
             for p in (2, 3, 97):
                 K, tail = _local_cut(p, N, -mp.dps * math.log(10))
@@ -169,7 +167,7 @@ def test_local_log_bound_covers_a_coarse_fixed_point():
                 lnF, bound = _local_log(_fixed_columns(a, N, P), p, K, tail, scale)
                 want = _series_log(termwise_series([[_q(x) for x in a]], p, K, N)[0])
                 for j in range(N + 1):
-                    rounding = _ROUNDING_ULPS * mp.eps
+                    rounding = zeta.ROUNDING_ULPS * mp.eps
                     assert abs(lnF[j] - want[j]) <= bound[j] + rounding, (fid, p, j)
                     assert bound[j] <= 1e-8, (fid, p, j)
 
@@ -189,7 +187,7 @@ def test_small_prime_log_coeffs_cancel_ln_F_through_M():
     # ln F_p + a ln(1-X) + b ln(1-X^2) = sum_n g_n X^n, and the Mobius
     # inversion sum_{m | k} m c_m / k = g_k holds once every divisor of k
     # is at most M, so ln F_p + sum_k e_k X^k starts at X^{M+1}
-    log_tol = -(CONSTANTS_DPS + _GUARD_DPS) * math.log(10)
+    log_tol = -(CONSTANTS_DPS + zeta.GUARD_DPS) * math.log(10)
     for fid in (*ALL_FNS, "inv_tau"):
         ef = euler_form(fid)
         M, _ = _large_prime_cut(ef, 4, log_tol)

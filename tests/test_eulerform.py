@@ -106,7 +106,7 @@ def test_discrepancy_flags_present():
 def test_json_round_trip_rationals():
     import json
 
-    d = json.loads(json_report(euler_form(MultFnId.INV_TAU_SQ).to_json_dict()))
+    d = json.loads(json_report(euler_form(MultFnId.INV_TAU_SQ)))
     assert d["a"] == "1/3"
     assert d["b"] == "-1/45"
     assert d["g"][2] == "-64/2835"  # g_3 is the third entry (g_1, g_2, g_3)

@@ -60,6 +60,13 @@ def test_csv_report_versioned_header():
     assert lines[3] == "1/3,4"
 
 
+def test_only_reports_writes_rationals():
+    # records hand their Fractions to `reports`, which alone formats them
+    writers = [path.name for path in (ROOT / "src" / "shortmean").glob("*.py")
+               if "numerator}/{" in path.read_text()]
+    assert writers == ["reports.py"]
+
+
 def test_svg_plot_basic():
     data = svg_plot(
         [("err", [(100.0, 1e-2), (1000.0, 1e-3)])],
@@ -168,6 +175,15 @@ def test_removed_flags_are_usage_errors(argv):
     ["zeta-moment", "--T", "1e9"],
     ["perron", "--fn", "f3", "--x", "100.5", "--T", "1e9"],
     ["perron", "--fn", "f3", "--x", "100.5", "--T", "100,1e9"],
+    # refused before anything is sieved
+    ["sweep", "--fn", "f4", "--xs", "1e5", "--h-rule", "x^inf"],
+    ["sweep", "--fn", "f4", "--xs", "1e5", "--h-rule", "x^nan"],
+    ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",
+     "--tolerance", "nan"],
+    ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",
+     "--tolerance", "inf"],
+    ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",
+     "--tolerance", "-1"],
 ])
 def test_non_finite_values_and_short_scans_are_usage_errors(argv, capsys):
     rc, out = cap(argv)
@@ -195,6 +211,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ("predict_f1", ["predict", "--fn", "f1", "--x", "100000000", "--h", "1000000",
                     "--N", "2"]),
     ("constants_f3", ["constants", "--fn", "f3", "--N", "4"]),
+    # an interval with thresholds and a flag, and the full range without
+    ("compare_f2", ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",
+                    "--N", "2"]),
+    ("compare_f1_full", ["compare", "--fn", "f1", "--x", "0", "--h", "100000",
+                         "--N", "4"]),
 ])
 def test_cli_json_matches_golden_bytes(name, argv):
     # the JSON of these subcommands stays byte-identical unless a change

@@ -1,5 +1,6 @@
 """Segmented sieve: exact interval sums, thread invariance, caching."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from math import isqrt, log2
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import f_value, factorize, segment_stats_loop, signature_code
 from shortmean import sieve
+from shortmean.cli import run
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
     CapacityError,
@@ -79,26 +81,26 @@ def test_mobius_matches_trial_division():
 
 def test_sum_first_five_inv_tau_sq():
     s = interval_sum(MultFnId.INV_TAU_SQ, 0, 5)
-    assert s.exact == Fraction(11, 5)
-    assert s.approx == pytest.approx(2.2, rel=1e-15)
+    assert s == Fraction(11, 5)
+    assert float(s) == pytest.approx(2.2, rel=1e-15)
 
 
 def test_exact_sums_match_brute_force_small():
     for fid in ALL_FNS:
-        assert interval_sum(fid, 0, 300).exact == brute_sum(fid, 0, 300)
+        assert interval_sum(fid, 0, 300) == brute_sum(fid, 0, 300)
 
 
 def test_exact_sums_match_brute_force_offset():
     x, h = 99991, 173
     for fid in ALL_FNS:
-        assert interval_sum(fid, x, h).exact == brute_sum(fid, x, h)
+        assert interval_sum(fid, x, h) == brute_sum(fid, x, h)
 
 
 def test_interval_sums_all_consistent_with_single():
     x, h = 10**6, 2000
     sums = interval_sums_all(x, h)
     for fid in ALL_FNS:
-        assert sums[fid].exact == interval_sum(fid, x, h).exact
+        assert sums[fid] == interval_sum(fid, x, h)
 
 
 def test_thread_count_does_not_change_results():
@@ -106,8 +108,8 @@ def test_thread_count_does_not_change_results():
     a = interval_sums_all(x, h, threads=1)
     b = interval_sums_all(x, h, threads=4)
     for fid in ALL_FNS:
-        assert a[fid].exact == b[fid].exact
-        assert a[fid].approx == b[fid].approx  # bytes, not just close
+        assert a[fid] == b[fid]
+        assert float(a[fid]) == float(b[fid])  # bytes, not just close
 
 
 def test_large_offset_sample():
@@ -115,18 +117,28 @@ def test_large_offset_sample():
     x, h = 10**10, 60
     sums = interval_sums_all(x, h)
     for fid in ALL_FNS:
-        assert sums[fid].exact == brute_sum(fid, x, h)
+        assert sums[fid] == brute_sum(fid, x, h)
 
 
-def test_approx_is_correctly_rounded():
+def reported_sum(fid, x, h, tmp_path):
+    """(exact, float) of `fid` as the `sum` command reports them."""
+    out = tmp_path / "sum.json"
+    assert run(["sum", "--fn", str(fid), "--x", str(x), "--h", str(h),
+                "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["results"][0]
+    return Fraction(row["exact"]), row["float"]
+
+
+def test_approx_is_correctly_rounded(tmp_path):
     # a compensated float sum is 1 ulp off here
-    s = interval_sum(MultFnId.INV_TAU_SQ, 0, 101100)
-    assert s.approx == float(s.exact)
+    exact, approx = reported_sum(MultFnId.INV_TAU_SQ, 0, 101100, tmp_path)
+    assert exact == interval_sum(MultFnId.INV_TAU_SQ, 0, 101100)
+    assert approx == float(exact)
 
 
-def test_approx_tracks_exact():
-    s = interval_sum(MultFnId.INV_TWO_OMEGA, 10**6, 10**4)
-    assert s.approx == pytest.approx(float(s.exact), rel=1e-12)
+def test_approx_tracks_exact(tmp_path):
+    exact, approx = reported_sum(MultFnId.INV_TWO_OMEGA, 10**6, 10**4, tmp_path)
+    assert approx == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_capacity_guard():
@@ -148,7 +160,7 @@ def test_counts_sum_to_interval_length():
 @given(st.integers(0, 10**5), st.integers(1, 400))
 def test_random_windows_match_brute_force(x, h):
     fid = MultFnId.INV_TWO_BIG_OMEGA
-    assert interval_sum(fid, x, h).exact == brute_sum(fid, x, h)
+    assert interval_sum(fid, x, h) == brute_sum(fid, x, h)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -229,7 +241,7 @@ def test_interval_sums_are_additive(x, h1, h2):
     left = interval_sums_all(x, h1)
     right = interval_sums_all(x + h1, h2)
     for fid in ALL_FNS:
-        assert whole[fid].exact == left[fid].exact + right[fid].exact
+        assert whole[fid] == left[fid] + right[fid]
 
 
 def assert_equal_to_loop(lo, hi):
@@ -409,6 +421,26 @@ def test_denominator_counts_equal_the_statistic_route(x):
         assert np.array_equal(route(want), want.dens[fid]), fid
         uniq, n = np.unique(route(want), return_counts=True)
         assert counts[fid] == dict(zip(uniq.tolist(), n.tolist())), fid
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_interval_counts_memory_stays_flat_in_the_segment_count(threads,
+                                                                monkeypatch):
+    # each segment is folded in as it finishes, and at most `threads` are
+    # in the pool: ten times the segments may not double the peak
+    width = 16
+    monkeypatch.setattr(sieve, "SEGMENT_WIDTH", width)
+    monkeypatch.setattr(sieve, "_segment_stats", lambda a, b, base: b - a + 1)
+    monkeypatch.setattr(sieve, "_denominator_counts",
+                        lambda n, fids: {fid: {1: n} for fid in fids})
+    peaks = []
+    for segments in (2000, 20000):
+        interval_counts(0, segments * width, threads, ALL_FNS)  # warm caches
+        peaks.append(traced_peak(interval_counts, 0, segments * width,
+                                 threads, ALL_FNS))
+        assert interval_counts(0, segments * width, threads, ALL_FNS) == {
+            fid: {1: segments * width} for fid in ALL_FNS}
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_interval_sum_counts_its_own_function_only(monkeypatch):
