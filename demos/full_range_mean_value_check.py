@@ -24,7 +24,7 @@ def main():
         t0 = time.perf_counter()
         rep = compare(fid, 0, X, N=4, threads=4)
         dt = time.perf_counter() - t0
-        print(f"{X:>12} {rep.exact_float:>16.6f} {rep.prediction:>16.6f} "
+        print(f"{X:>12} {float(rep.exact):>16.6f} {rep.prediction:>16.6f} "
               f"{rep.rel_err:>10.2e} {dt:>6.1f}s")
 
     print()

@@ -171,7 +171,6 @@ class PredictionReport:
     h: int
     N: int
     exact: Fraction
-    exact_float: float
     prediction: float
     abs_err: float
     rel_err: float
@@ -191,7 +190,7 @@ class PredictionReport:
             "exact": {
                 "num": str(self.exact.numerator),
                 "den": str(self.exact.denominator),
-                "float": self.exact_float,
+                "float": float(self.exact),
             },
             "prediction": self.prediction,
             "abs_err": self.abs_err,
@@ -223,8 +222,7 @@ def compare(fid: MultFnId, x: int, h: int, N: int, tolerance: float = 0.05,
     thresholds = h_threshold(fid, float(x)) if x >= 10 else None
     return PredictionReport(
         fid=fid, x=x, h=h, N=N,
-        exact=exact, exact_float=exact_f,
-        prediction=pred, abs_err=abs_err, rel_err=rel_err,
+        exact=exact, prediction=pred, abs_err=abs_err, rel_err=rel_err,
         budget=budget, lagrange=lagrange,
         thresholds=thresholds, tolerance=tolerance,
         passed=bool(rel_err <= tolerance),

@@ -280,13 +280,16 @@ def _cmd_sweep(args):
     fids = _fids(args.fn)
     expo = _parse_h_rule(args.h_rule)
     xs = [int(v) for v in _floats(args.xs, "x")]
+    try:  # every h before anything is sieved
+        hs = [int(x**expo) for x in xs]
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"h rule {args.h_rule!r} gives no finite h") from None
     rows = []
     for fid in fids:
-        for x in xs:
-            h = int(x**expo)
+        for x, h in zip(xs, hs):
             rep = compare(fid, x, h, args.N, threads=args.threads)
             rows.append(
-                (str(fid), x, h, rep.exact_float, rep.prediction, rep.rel_err)
+                (str(fid), x, h, float(rep.exact), rep.prediction, rep.rel_err)
             )
     if args.format == "csv":
         return csv_report(

@@ -6,26 +6,29 @@ the Mobius values are built from its slices.
 Ground truth for every asymptotic claim: S_j(x;h) = sum_{x < n <= x+h} f_j(n)
 computed exactly.  The fast path never materializes factorizations:
 every f(n) here depends only on omega(n) and n's exponents e >= 2, so a
-segment keeps omega(n) and a signature code, the product of r(e) = the
-(e-1)-th prime over the primes with p^2 | n (see _segment_stats).  omega
-comes from a logarithmic sieve, as in the quadratic sieve: one uint32
-per n counts its base primes p <= sqrt(hi) in the high 16 bits and sums
-their fixed-point logs in the low 16, and a sum well short of log2 n
-marks one more prime factor, above sqrt(hi).  The hits of 2, 3, 5, 7, 11
-and 13 come from one pattern of period 30030 (a pre-sieve).  The other
-base primes below SCATTER_MIN_PRIME make one strided update each.  The
-larger ones have few multiples in a segment, so they are taken in blocks
-and their hits scattered in batches of at most about an eighth of the
-segment's width, which keeps a block's and a batch's arrays smaller than
-the segment's own.  Each level p^e, e >= 2, makes two strided updates
-(the log and the code).  The key code << 4 | omega is below 2^20 for
-n <= 2^52 (omega <= 13, code <= 38 599) and fits int32.  It is counted
-once per segment, by bincount when its largest value is below the
-window's width and by a sort otherwise (a narrow window would not pay
-for 618 k bins), and each distinct key is decoded once into the
-denominators of the requested functions only.  The exact rational sum is
-a short sum of count/value terms, cheap even over 10^8 integers;
-`interval_sum` and `interval_sums_all` return it as a Fraction.
+segment keeps one uint32 word per n, [code: 16 | omega: 4 |
+complemented log: 12] (see _segment_stats).  The code is a sum of D(e)
+over the primes with p^2 | n, from a table that keeps every exponent
+multiset of n <= 2^52 apart.  omega comes from a logarithmic sieve, as
+in the quadratic sieve: each hit of a base prime p <= sqrt(hi) adds one
+to omega and takes its fixed-point log from the low field, and a log
+well short of log2 n marks one more prime factor, above sqrt(hi); one
+add of a threshold carries that factor into omega.  The hits of 2, 3,
+5, 7, 11 and 13 come from one pattern of period 30030 (a pre-sieve).
+The other base primes below SCATTER_MIN_PRIME make one strided add
+each.  The larger ones have few multiples in a segment, so they are
+taken in blocks and their hits scattered in batches of at most about
+an eighth of the segment's width, which keeps a block's and a batch's
+arrays smaller than the segment's own.  Each level p^e, e >= 2, makes
+one strided add (its code step and log).  The word shifted right by 12
+is the key code << 4 | omega, below 2^20 for n <= 2^52 (omega <= 13,
+code <= 51 206).  It is counted once per segment, by bincount when its
+largest value is below the window's width and by a sort otherwise (a
+narrow window would not pay for 819 k bins), and each distinct key is
+decoded once into the denominators of the requested functions only.
+The exact rational sum is a short sum of count/value terms, cheap even
+over 10^8 integers; `interval_sum` and `interval_sums_all` return it as
+a Fraction.
 """
 
 from __future__ import annotations
@@ -93,21 +96,35 @@ def _mobius_upto(kmax):
 # ---------------------------------------------------------------------------
 # per-segment statistics
 
-# r(e) = the (e-1)-th prime, for every exponent 2 <= e <= 52 of n <= 2^52
-_LEVEL_PRIMES = [r for r in range(2, 240) if all(r % d for d in range(2, isqrt(r) + 1))]
+# D(e) for e = 2..52, every exponent e >= 2 of an n <= 2^52: the sums of
+# D(e) over the exponent multisets of such n are distinct, and at most
+# 51 206 (for 2^25 3^17).  A greedy table, so a literal: computing it
+# takes far longer than an import may.
+_EXPONENT_CODE = (
+    1, 9, 55, 196, 519, 1330, 2430, 4195, 5753, 8731, 11760, 13235, 15212,
+    18065, 20074, 21668, 22845, 24873, 25332, 25550, 27855, 28127, 28846,
+    29538, 29856, 30687, 30809, 30962, 31411, 31446, 31563, 31657, 31683,
+    31732, 31848, 31896, 31917, 31982, 31986, 32001, 32012, 32031, 32034,
+    32054, 32061, 32064, 32074, 32076, 32077, 32078, 32079)
 # primes in a block, and hits in a run, of _scatter_primes: an eighth of
 # the width, but not so few that narrow windows take many Python steps
 _SCATTER_MIN_RUN = 1 << 13
 
-# a segment's uint32 accumulator: omega(n) in the high 16 bits, a log in the low
-LOG_SCALE = 1024  # fixed-point units of log2
-OMEGA_UNIT = 1 << 16
+# a segment's uint32 accumulator: [code: 16 | omega: 4 | complemented log: 12]
+LOG_SCALE = 64  # fixed-point units of log2
+OMEGA_UNIT = 1 << 12
+CODE_UNIT = 1 << 16
+# what level e adds on top of a hit's packed value: D(e) - D(e-1) more
+# code and one OMEGA_UNIT less, for e = 0..52 (levels start at e = 2)
+_LEVEL_STEPS = (0, 0) + tuple(
+    (d - prev) * CODE_UNIT - OMEGA_UNIT
+    for prev, d in zip((0,) + _EXPONENT_CODE, _EXPONENT_CODE))
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their hits repeat with period 30030
 _packed = np.empty(0, dtype=np.uint32)  # _packed_hits of the longest table asked
 
 
 def _packed_hits(primes):
-    """OMEGA_UNIT + round(LOG_SCALE * log2 p) for each of `primes`, as uint32.
+    """OMEGA_UNIT - round(LOG_SCALE * log2 p) for each of `primes`, as uint32.
 
     `primes` is a prime table, 2, 3, 5, ... in order, like every
     `primes_up_to` slice.  So the values of the longest table asked for
@@ -116,7 +133,7 @@ def _packed_hits(primes):
     global _packed
     packed = _packed
     if packed.size < primes.size:
-        packed = np.rint(LOG_SCALE * np.log2(primes)).astype(np.uint32) + OMEGA_UNIT
+        packed = OMEGA_UNIT - np.rint(LOG_SCALE * np.log2(primes)).astype(np.uint32)
         packed.flags.writeable = False  # shared by every later segment
         _packed = packed
     return packed[: primes.size]
@@ -126,10 +143,11 @@ def _packed_hits(primes):
 def _presieve_pattern():
     """Accumulator values of n = 0..30029 from the hits of PRESIEVE_PRIMES.
 
-    Every n with the same residue mod 30030 gets the same hits.  Built on
-    first use, not at import.
+    Each starts at OMEGA_UNIT - 1, the empty complemented log.  Every n
+    with the same residue mod 30030 gets the same hits.  Built on first
+    use, not at import.
     """
-    pattern = np.zeros(prod(PRESIEVE_PRIMES), dtype=np.uint32)
+    pattern = np.full(prod(PRESIEVE_PRIMES), OMEGA_UNIT - 1, dtype=np.uint32)
     for p, v in zip(PRESIEVE_PRIMES, _packed_hits(np.array(PRESIEVE_PRIMES)).tolist()):
         pattern[::p] += v
     pattern.flags.writeable = False
@@ -137,61 +155,67 @@ def _presieve_pattern():
 
 
 def _segment_stats(lo, hi, base_primes):
-    """Arrays (omega, code) for n = lo..hi inclusive.
+    """The intp key code(n) << 4 | omega(n) of each n = lo..hi inclusive.
 
-    int16 omega(n), and the int32 signature code(n) = prod r(e_p) over
-    the primes p with p^2 | n, where e_p is the exponent of p in n and
-    r(e) the (e-1)-th prime (r(2) = 2, r(3) = 3, r(4) = 5, ...).  By
-    unique factorization the code gives back the multiset of exponents
-    e >= 2, and with omega(n) it fixes f(n) for every function here.
-    For n <= 2^52, omega <= 13 and code <= 38 599 (for 2^11 3^6 5^6 7^6),
-    so `_denominator_counts`'s key code << 4 | omega is below 2^20 and
-    fits int32; `_value_counts` takes bincount for it only when its
-    largest value is below the width.  Only the base primes
+    code(n) is the sum of D(e_p) (`_EXPONENT_CODE`) over the primes p
+    with p^2 | n, where e_p is the exponent of p in n.  D keeps apart the
+    5057 multisets of exponents e >= 2 of the n <= 2^52, so the code
+    gives back that multiset (`_signature`), and with omega(n) it fixes
+    f(n) for every function here.  For n <= 2^52, omega <= 13 and code
+    <= 51 206, so the key is below 2^20 and `_value_counts` takes
+    bincount for it on a full segment.  Only the base primes
     p <= sqrt(hi) are used (`base_primes` is a prime table from 2).
 
-    One uint32 accumulator per n takes OMEGA_UNIT + L(p) at each hit of
-    a base prime p and L(p) = round(LOG_SCALE * log2 p) more at each
-    level p^e, e >= 2, that divides n.  Its high field is then omega
-    over the base primes, and its low field is LOG_SCALE * log2 m, where
-    m is the part of n that they make up, to within delta <= Omega(n)/2
-    <= 26 units.  n has one more prime factor, above sqrt(hi), exactly
-    when m < n, and then m < n / sqrt(hi).  So the low field is at least
-    LOG_SCALE * log2 n - delta when m = n and below LOG_SCALE * (log2 n -
-    log2(hi) / 2) + delta otherwise; the test is against the midpoint,
-    which for every n >= n0 = 2 isqrt(hi) + 2 >= 2 sqrt(hi) may be taken
-    at n0 (the gap there is at least LOG_SCALE, against 2 delta).  The
-    n below n0 each get their own midpoint; a window of at most
-    SEGMENT_WIDTH integers has them only if it starts below about 2.1 k.
+    One uint32 word per n holds [code: 16 | omega: 4 | complemented log:
+    12], and every update is one add.  The word starts at OMEGA_UNIT - 1.
+    Each hit of a base prime p adds OMEGA_UNIT - L(p), with L(p) =
+    round(LOG_SCALE * log2 p), and each level p^e, e >= 2, that divides
+    n adds (D(e) - D(e-1)) << 16 - L(p).  So the high field ends at
+    code(n), the middle one at omega over the base primes, and the low
+    one at OMEGA_UNIT - 1 - l, where l is LOG_SCALE * log2 m to within
+    delta <= Omega(n)/2 <= 26 units and m is the part of n that the base
+    primes make up.  l <= 64 * 52 + 26 < OMEGA_UNIT, so the low field
+    never borrows from omega.  n has one more prime factor, above
+    sqrt(hi), exactly when m < n, and then m < n / sqrt(hi).  So l is at
+    least LOG_SCALE * log2 n - delta when m = n and below LOG_SCALE *
+    (log2 n - log2(hi) / 2) + delta otherwise; the test l < t is against
+    the midpoint t, which for every n >= n0 = 2 isqrt(hi) + 2 >=
+    2 sqrt(hi) may be taken at n0 (the gap there is at least LOG_SCALE =
+    64, against 2 delta <= 52 and the rounding of t).  Adding t to the
+    word carries one into omega exactly when l < t, and the word shifted
+    right by 12 is then the key.  The adds commute, so t goes in with
+    the first value.  The n below n0 each get their own midpoint (its
+    ceiling, at least 0); a window of at most SEGMENT_WIDTH integers
+    has them only if it starts below about 2.1 k.
 
     The hits of 2, 3, 5, 7, 11 and 13 come from `_presieve_pattern`,
-    sliced from lo mod 30030 period by period, with no rolled copy: it
-    is the accumulator's first value.  One of
-    them above sqrt(hi) (hi < 169) is no base prime, but it divides each
-    n <= hi at most once, so it counts in omega and m as n's one prime
-    factor above sqrt(hi) should, and the test finds m = n.  Each other
-    base prime below SCATTER_MIN_PRIME makes one strided update.  A
-    larger prime has at most width/SCATTER_MIN_PRIME + 1 multiples here,
-    so one Python step per prime would cost more than its few hits:
-    `_scatter_primes` applies the hits of all of them at once.  The
-    levels p^e, e >= 2, of every prime whose square has a multiple here
-    touch only the multiples of p^e, with two strided updates each:
-    acc += L(p), and code *= 2 at level 2 or code //= r(e-1) then *=
-    r(e) above it.
+    added to t from lo mod 30030 period by period, with no rolled copy:
+    it is the word's first value.  One of them above sqrt(hi) (hi < 169)
+    is no base prime, but it divides each n <= hi at most once, so it
+    counts in omega and m as n's one prime factor above sqrt(hi) should,
+    and the test finds m = n.  Each other base prime below
+    SCATTER_MIN_PRIME makes one strided add.  A larger prime has at most
+    width/SCATTER_MIN_PRIME + 1 multiples here, so one Python step per
+    prime would cost more than its few hits: `_scatter_primes` applies
+    the hits of all of them at once.  The levels p^e, e >= 2, of every
+    prime whose square has a multiple here make one strided add each,
+    over the multiples of p^e.
     """
     width = hi - lo + 1
     top = np.searchsorted(base_primes, isqrt(hi), side="right")
     packed = _packed_hits(base_primes[:top])
     split = np.searchsorted(base_primes[:top], SCATTER_MIN_PRIME)
     small, values = base_primes[:split].tolist(), packed[:split].tolist()
+    n0 = max(lo, 2 * isqrt(hi) + 2)
+    t = round(LOG_SCALE * (log2(n0) + log2(hi) / 2) / 2)
     pattern = _presieve_pattern()
     acc = np.empty(width, dtype=np.uint32)
     r = lo % pattern.size
     head = min(pattern.size - r, width)
-    acc[:head] = pattern[r : r + head]
+    np.add(pattern[r : r + head], t, out=acc[:head])
     # the rest starts at n = 0 mod 30030: whole periods, then a part
     for start in range(head, width, pattern.size):
-        acc[start : start + pattern.size] = pattern[: width - start]
+        np.add(pattern[: width - start], t, out=acc[start : start + pattern.size])
 
     for p, v in zip(small[len(PRESIEVE_PRIMES) :], values[len(PRESIEVE_PRIMES) :]):
         start = (-lo) % p
@@ -199,32 +223,25 @@ def _segment_stats(lo, hi, base_primes):
             acc[start::p] += v
     squared = _scatter_primes(lo, base_primes[split:top], packed[split:top], acc)
 
-    code = np.ones(width, dtype=np.int32)
     for p, v in list(zip(small, values)) + squared:
         q, e = p * p, 2
         while q <= hi:
             start = (-lo) % q
             if start >= width:
                 break
-            acc[start::q] += v - OMEGA_UNIT
-            level = code[start::q]  # a view: the updates land in code
-            if e > 2:
-                level //= _LEVEL_PRIMES[e - 3]
-            level *= _LEVEL_PRIMES[e - 2]
+            acc[start::q] += _LEVEL_STEPS[e] + v
             q *= p
             e += 1
 
-    # in place: temporaries as large as acc raise the sieve's peak memory
-    omega = np.right_shift(acc, 16, out=np.empty(width, dtype=np.int16),
-                           casting="unsafe")
-    acc &= OMEGA_UNIT - 1
-    n0 = max(lo, 2 * isqrt(hi) + 2)
     head = min(n0 - lo, width)
-    omega[head:] += acc[head:] < round(LOG_SCALE * (log2(n0) + log2(hi) / 2) / 2)
-    if head:
+    if head:  # each n below n0 takes its own midpoint in place of t
         n = np.arange(lo, lo + head, dtype=np.float64)
-        omega[:head] += acc[:head] < LOG_SCALE * (np.log2(n) - log2(hi) / 4)
-    return omega, code
+        own = np.ceil(LOG_SCALE * (np.log2(n) - log2(hi) / 4))
+        acc[:head] += np.maximum(own, 0).astype(np.uint32)
+        acc[:head] -= t
+    acc >>= 12
+    # intp, which bincount counts without a copy; acc is freed here
+    return acc.astype(np.intp)
 
 
 def _scatter_primes(lo, primes, packed, acc):
@@ -288,15 +305,32 @@ def _value_counts(vals):
 _DENOMINATORS = {}  # fid -> {key: 1/f(n)}, filled as keys appear
 
 
+# enough primes for the exponents e >= 2 of n <= 2^52: (2*3*...*23)^2 > 2^52
+_SIGNATURE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
 @cache
 def _signature(key):
-    """(omega, ascending exponents e >= 2) of each n with key code << 4 | omega."""
-    code, exps = key >> 4, []
-    for e, r in enumerate(_LEVEL_PRIMES, 2):
-        while code % r == 0:
-            code //= r
-            exps.append(e)
-    return key & 15, tuple(exps)
+    """(omega, ascending exponents e >= 2) of each n with key code << 4 | omega.
+
+    A depth-first search for the one multiset whose D values sum to the
+    code: exponents in descending order on 2, 3, 5, ..., so each branch
+    is the least n with its multiset, and a branch ends when that n
+    passes 2^52 or its sum passes the code.
+    """
+    def find(rest, i, top, room):
+        if rest == 0:
+            return ()
+        p = _SIGNATURE_PRIMES[i]
+        for e in range(top, 1, -1):
+            d = _EXPONENT_CODE[e - 2]
+            if d <= rest and p**e <= room:
+                exps = find(rest - d, i + 1, e, room // p**e)
+                if exps is not None:
+                    return exps + (e,)
+        return None
+
+    return key & 15, find(key >> 4, 0, len(_EXPONENT_CODE) + 1, SIEVE_MAX_POINT)
 
 
 @cache
@@ -309,22 +343,13 @@ def _reciprocals(fid):
 def _denominator_counts(stats, fids):
     """{fid: Counter mapping each denominator d of f(n) = 1/d to its count}.
 
-    `stats` is `_segment_stats`'s (omega, code).  The key code << 4 | omega
-    is counted once for all of `fids` (as intp, which bincount takes
-    without a copy).  Each distinct key is decoded once per process by
+    `stats` is `_segment_stats`'s key array, counted once for all of
+    `fids`.  Each distinct key is decoded once per process by
     `_signature`, and its denominator (1/f(p))^(omega - |sig|) times
     prod 1/f(p^e) over the exponents e of sig, an int product from
     `_reciprocals`, is memoized per function.
     """
-    omega, code = stats
-    key = np.left_shift(code, 4, dtype=np.intp)
-    key |= omega
-    keys = _value_counts(key)
-    # free the key before the process-wide memos below grow: a dict table
-    # resized while the key is live can be placed above it on the heap,
-    # and malloc returns only the top of the heap, so the key's memory
-    # would stay resident for the rest of the process
-    del key
+    keys = _value_counts(stats)
     out = {}
     for fid in fids:
         memo, recip = _DENOMINATORS.setdefault(fid, {}), _reciprocals(fid)

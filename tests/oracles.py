@@ -38,7 +38,7 @@ from shortmean.constants import (
 from shortmean.eulerform import EulerForm
 from shortmean.functions import MultFnId, local_value
 from shortmean.powerseries import exp_linear_coeffs
-from shortmean.sieve import primes_up_to
+from shortmean.sieve import _EXPONENT_CODE, primes_up_to
 from shortmean.zeta import _em_N, _em_tail, zeta_many
 from shortmean.zetachecks import GROWTH_C
 
@@ -109,16 +109,13 @@ def f_value(fid: MultFnId, fac: Factorization) -> Fraction:
 # per-prime segment statistics (from sieve)
 
 
-# r(e) = the (e-1)-th prime, by trial division, for the exponents e <= 52
-# of n <= 2^52; r(0) = r(1) = 1
-_SIGNATURE_PRIME = np.array(
-    [1, 1] + [m for m in range(2, 240) if factorize(m).factors == ((m, 1),)][:51],
-    dtype=np.int32)
+# D(e) for the exponents e <= 52 of n <= 2^52; D(0) = D(1) = 0
+_SIGNATURE_TERM = np.array([0, 0, *_EXPONENT_CODE], dtype=np.int32)
 
 
 def signature_code(exponents):
-    """prod r(e) over the exponents e >= 2: the sieve's signature code."""
-    return int(np.prod(_SIGNATURE_PRIME[list(exponents)], dtype=np.int64))
+    """sum D(e) over the exponents e >= 2: the sieve's signature code."""
+    return int(_SIGNATURE_TERM[list(exponents)].sum())
 
 
 @dataclass
@@ -132,6 +129,11 @@ class SegmentFactors:
     code: np.ndarray       # int32 signature_code of n's exponents
     dens: dict             # fid -> int64 1/f(n) = prod 1/f(p^e)
 
+    @property
+    def key(self):
+        """intp code << 4 | omega, as `sieve._segment_stats` returns it."""
+        return self.code.astype(np.intp) << 4 | self.omega
+
 
 def segment_stats_loop(lo, hi, base_primes, fids=()):
     """Oracle for `sieve._segment_stats`: one Python step per base prime.
@@ -143,7 +145,7 @@ def segment_stats_loop(lo, hi, base_primes, fids=()):
     Where p^2 has multiples, the multiples of p^3, p^4, ... among them
     give the exponent e >= 2 of p in each, and every statistic takes its
     factor from that e: Omega gets e - 1 more, and the products
-    prod (e+1), prod (2e+1), prod r(e) and, for each fid of `fids`,
+    prod (e+1), prod (2e+1), the sum of D(e) and, for each fid of `fids`,
     prod 1/f(p^e) (from `local_value`) over the primes with e >= 2 are
     kept.  Each of the k = omega - #{e >= 2} primes that divide n once
     gives the same factor, so tau = 2^k prod (e+1), tau(n^2) =
@@ -157,7 +159,7 @@ def segment_stats_loop(lo, hi, base_primes, fids=()):
     extra = np.zeros(width, dtype=np.int16)     # Omega - omega
     tau_sq = np.ones(width, dtype=np.int64)
     tau2_sq = np.ones(width, dtype=np.int64)
-    code = np.ones(width, dtype=np.int32)
+    code = np.zeros(width, dtype=np.int32)
     recip = {fid: np.array([int(1 / local_value(fid, e)) for e in range(53)])
              for fid in fids}
     dens = {fid: np.ones(width, dtype=np.int64) for fid in fids}
@@ -185,7 +187,7 @@ def segment_stats_loop(lo, hi, base_primes, fids=()):
         extra[hit] += (e - 1).astype(np.int16)
         tau_sq[hit] *= e + 1
         tau2_sq[hit] *= 2 * e + 1
-        code[hit] *= _SIGNATURE_PRIME[e]
+        code[hit] += _SIGNATURE_TERM[e]
         for fid in fids:
             dens[fid][hit] *= recip[fid][e]
 

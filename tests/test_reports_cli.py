@@ -121,14 +121,20 @@ def test_sum_and_series_build_no_quadrature_rule():
 
 
 def test_import_builds_no_presieve_pattern():
-    # the sieve's pattern and packed prime logs are built on first use
+    # the sieve's pattern, packed prime logs and key decodes are built on
+    # first use: no exponent code is decoded and no denominator table
+    # filled at import
     code = (
         "import shortmean.cli\n"
         "from shortmean import sieve\n"
         "assert sieve._presieve_pattern.cache_info().currsize == 0\n"
         "assert sieve._packed.size == 0\n"
+        "assert sieve._signature.cache_info().currsize == 0\n"
+        "assert sieve._reciprocals.cache_info().currsize == 0\n"
+        "assert sieve._DENOMINATORS == {}\n"
         "assert shortmean.cli.run(['sum', '--fn', 'f1', '--x', '1000', '--h', '100']) == 0\n"
         "assert sieve._presieve_pattern.cache_info().currsize == 1\n"
+        "assert sieve._signature.cache_info().currsize > 0\n"
     )
     assert run_fresh(code).count('"schema"') == 1
 
@@ -178,6 +184,8 @@ def test_removed_flags_are_usage_errors(argv):
     # refused before anything is sieved
     ["sweep", "--fn", "f4", "--xs", "1e5", "--h-rule", "x^inf"],
     ["sweep", "--fn", "f4", "--xs", "1e5", "--h-rule", "x^nan"],
+    ["sweep", "--fn", "f4", "--xs", "1e5", "--h-rule", "x^100"],  # h overflows
+    ["sweep", "--fn", "f4", "--xs", "0", "--h-rule", "x^-1"],  # h = 1/0
     ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",
      "--tolerance", "nan"],
     ["compare", "--fn", "f2", "--x", "1000000", "--h", "100000",

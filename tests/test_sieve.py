@@ -15,6 +15,7 @@ from shortmean import sieve
 from shortmean.cli import run
 from shortmean.functions import ALL_FNS, MultFnId
 from shortmean.sieve import (
+    CODE_UNIT,
     CapacityError,
     LOG_SCALE,
     OMEGA_UNIT,
@@ -175,13 +176,13 @@ def test_random_windows_match_brute_force(x, h):
 def test_segment_stats_match_factorize(lo, hi):
     # windows from (281, 290) on are narrower than their largest base
     # prime, which then has at most one multiple in the window
-    omega, code = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
-    assert (omega.dtype, code.dtype) == (np.int16, np.int32)
+    key = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    assert key.dtype == np.intp
     for i, n in enumerate(range(lo, hi + 1)):
         fac = factorize(n)
         squares = sorted(r for _, r in fac.factors if r >= 2)
-        assert (omega[i], code[i]) == (fac.omega, signature_code(squares)), n
-        w, exps = sieve._signature(int(code[i]) << 4 | int(omega[i]))
+        assert (key[i] >> 4, key[i] & 15) == (signature_code(squares), fac.omega), n
+        w, exps = sieve._signature(int(key[i]))
         assert (w, list(exps)) == (fac.omega, squares), n
 
 
@@ -211,20 +212,36 @@ def test_signature_codes_are_distinct_and_decode():
     codes = {signature_code(sig): sig for sig in sigs}
     assert len(codes) == len(sigs)  # no two multisets share a code
     top = max(codes)
-    assert (top, codes[top]) == (38_599, (11, 6, 6, 6))
-    assert top << 4 | 13 < 2**31  # omega <= 13 below the cap: fits int32
+    assert (top, codes[top]) == (51_206, (25, 17))
     for code, sig in codes.items():
         omega = len(sig) + 3  # three more primes that divide n once
         assert sieve._signature(code << 4 | omega) == (omega, tuple(sorted(sig))), sig
 
 
+def test_exponent_code_fits_the_word():
+    # the word is [code: 16 | omega: 4 | complemented log: 12]
+    codes = [signature_code(sig) for sig in exponent_multisets(SIEVE_MAX_POINT)]
+    assert max(codes) < 2**32 // CODE_UNIT
+    assert max(codes) << 4 | 13 < 2**20  # bincount's bins fit a segment
+    # each level adds code, and no base prime p <= 2^26 takes more log
+    # than its level's code step gives
+    d = (0,) + sieve._EXPONENT_CODE
+    assert all(b > a for a, b in zip(d, d[1:]))
+    assert min(sieve._LEVEL_STEPS[2:]) + OMEGA_UNIT > LOG_SCALE * 26
+    # the gap at n0, LOG_SCALE, is above 2 delta <= Omega <= 52 (that the
+    # log never borrows from omega is test_low_field_cannot_carry_into_omega)
+    assert LOG_SCALE > SIEVE_MAX_POINT.bit_length() - 1
+    # _signature's primes outlast every exponent multiset below the cap
+    assert np.prod(np.array(sieve._SIGNATURE_PRIMES, dtype=float)) ** 2 > SIEVE_MAX_POINT
+
+
 def test_largest_signature_code_in_a_narrow_window():
-    n = 2**11 * 3**6 * 5**6 * 7**6
+    n = 2**25 * 3**17
     assert n < SIEVE_MAX_POINT
     lo = n - 20
     assert_equal_to_loop(lo, lo + 40)
-    omega, code = _segment_stats(lo, lo + 40, primes_up_to(isqrt(lo + 40)))
-    assert (omega[20], code[20]) == (4, 38_599)
+    key = _segment_stats(lo, lo + 40, primes_up_to(isqrt(lo + 40)))
+    assert (key[20] >> 4, key[20] & 15) == (51_206, 2)
 
 
 _NEAR_SEGMENT = st.builds(
@@ -246,10 +263,9 @@ def test_interval_sums_are_additive(x, h1, h2):
 
 def assert_equal_to_loop(lo, hi):
     base = primes_up_to(isqrt(hi))
-    (omega, code), want = _segment_stats(lo, hi, base), segment_stats_loop(lo, hi, base)
-    for name, a, b in (("omega", omega, want.omega), ("code", code, want.code)):
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
+    key, want = _segment_stats(lo, hi, base), segment_stats_loop(lo, hi, base)
+    assert key.dtype == want.key.dtype == np.intp
+    assert np.array_equal(key, want.key)
 
 
 @pytest.mark.parametrize("x", [
@@ -276,14 +292,15 @@ def test_segment_stats_equal_the_loop_below_169():
 
 
 def test_low_field_cannot_carry_into_omega():
-    # the low field is at most LOG_SCALE log2 n plus 1/2 per prime factor
-    # counted with multiplicity, and n <= 2^52 has at most 52 of them
+    # the log taken from the low field is at most LOG_SCALE log2 n plus 1/2
+    # per prime factor counted with multiplicity, and n <= 2^52 has at most
+    # 52 of them, so the field never borrows from omega
     big_omega = SIEVE_MAX_POINT.bit_length() - 1
     assert LOG_SCALE * log2(SIEVE_MAX_POINT) + big_omega / 2 < OMEGA_UNIT
     # 2^52 itself reaches that largest log: one prime, exponent 52
-    omega, code = _segment_stats(SIEVE_MAX_POINT - 99, SIEVE_MAX_POINT,
-                                 primes_up_to(isqrt(SIEVE_MAX_POINT)))
-    assert sieve._signature(int(code[-1]) << 4 | int(omega[-1])) == (1, (52,))
+    key = _segment_stats(SIEVE_MAX_POINT - 99, SIEVE_MAX_POINT,
+                         primes_up_to(isqrt(SIEVE_MAX_POINT)))
+    assert sieve._signature(int(key[-1])) == (1, (52,))
 
 
 def test_presieve_pattern_is_the_hits_of_its_primes():
@@ -292,7 +309,8 @@ def test_presieve_pattern_is_the_hits_of_its_primes():
     assert PRESIEVE_PRIMES == tuple(primes_up_to(13).tolist())
     for n in [0, 1, 143, 30029, 2 * 3 * 5 * 7 * 11, 17 * 13]:
         ps = [p for p in PRESIEVE_PRIMES if n % p == 0]
-        want = sum(OMEGA_UNIT + round(LOG_SCALE * log2(p)) for p in ps)
+        want = OMEGA_UNIT - 1 + sum(OMEGA_UNIT - round(LOG_SCALE * log2(p))
+                                    for p in ps)
         assert pattern[n] == want, n
 
 
@@ -355,6 +373,18 @@ def test_scatter_keeps_the_segment_peak_memory():
     assert traced_scatter_peak(lo, base) < 8 * SEGMENT_WIDTH
 
 
+def test_segment_peak_memory_per_integer():
+    # the uint32 word and the intp key it becomes: 12 bytes an integer,
+    # where the int16 omega, int32 code and intp key took 14.07
+    x = 10**10
+    lo, hi = x + 1, x + SEGMENT_WIDTH
+    base = primes_up_to(isqrt(hi))
+    _denominator_counts(_segment_stats(lo, hi, base), ALL_FNS)  # warm the memos
+    peak = traced_peak(lambda: _denominator_counts(_segment_stats(lo, hi, base),
+                                                   ALL_FNS))
+    assert peak < 12.5 * SEGMENT_WIDTH
+
+
 def traced_scatter_peak(lo, base):
     split = np.searchsorted(base, SCATTER_MIN_PRIME)
     large, packed = base[split:], sieve._packed_hits(base)[split:]
@@ -392,11 +422,11 @@ def test_narrow_windows_count_keys_by_sort(monkeypatch):
     # a 300-wide window's largest key is above 300, so bincount would
     # allocate more bins than the window has integers
     lo, hi = 10**10 + 1, 10**10 + 300
-    omega, code = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
-    assert (int(code.max()) << 4) > hi - lo + 1
+    key = _segment_stats(lo, hi, primes_up_to(isqrt(hi)))
+    assert key.max() > hi - lo + 1
     calls = []
     monkeypatch.setattr(sieve.np, "bincount", lambda *a: calls.append(a))
-    sieve._value_counts(np.left_shift(code, 4, dtype=np.intp) | omega)
+    sieve._value_counts(key)
     assert calls == []
 
 
