@@ -29,6 +29,13 @@ decoded once into the denominators of the requested functions only.
 The exact rational sum is a short sum of count/value terms, cheap even
 over 10^8 integers; `interval_sum` and `interval_sums_all` return it as
 a Fraction.
+
+A full range n <= X (x = 0) from X = WALK_MIN_POINT on is not sieved:
+`_walk_counts` takes the same keys from a table of pi(X // k)
+(Lucy_Hedgehog's recursion) and a walk over the n whose largest prime
+has room for another, level by level, in O(X^(3/4)) work.  At 10^7 it
+took about 0.01 s where the sieve took 0.12 s (one 2-vCPU host).  The
+walk runs on one thread; `threads` applies to the sieve only.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ SEGMENT_WIDTH = 1 << 20
 SCATTER_MIN_PRIME = 512              # base primes from here on are scattered
 BASE_PRIME_BUDGET = 1 << 26          # largest base-prime table we will build
 SIEVE_MAX_POINT = BASE_PRIME_BUDGET**2  # so endpoints stay within 2^52
+WALK_MIN_POINT = 250_000  # n <= X from here on: the walk beats the sieve
 
 
 class CapacityError(Exception):
@@ -341,15 +349,19 @@ def _reciprocals(fid):
 
 
 def _denominator_counts(stats, fids):
+    """`_decode` of the keys of `stats`, `_segment_stats`'s key array."""
+    return _decode(_value_counts(stats), fids)
+
+
+def _decode(keys, fids):
     """{fid: Counter mapping each denominator d of f(n) = 1/d to its count}.
 
-    `stats` is `_segment_stats`'s key array, counted once for all of
-    `fids`.  Each distinct key is decoded once per process by
-    `_signature`, and its denominator (1/f(p))^(omega - |sig|) times
-    prod 1/f(p^e) over the exponents e of sig, an int product from
-    `_reciprocals`, is memoized per function.
+    `keys` holds (key, count) pairs, counted once for all of `fids`.
+    Each distinct key is decoded once per process by `_signature`, and
+    its denominator (1/f(p))^(omega - |sig|) times prod 1/f(p^e) over
+    the exponents e of sig, an int product from `_reciprocals`, is
+    memoized per function.
     """
-    keys = _value_counts(stats)
     out = {}
     for fid in fids:
         memo, recip = _DENOMINATORS.setdefault(fid, {}), _reciprocals(fid)
@@ -364,6 +376,111 @@ def _denominator_counts(stats, fids):
 
 
 # ---------------------------------------------------------------------------
+# the full range n <= X without sieving
+
+# D(e) for e = 0..52, with D(0) = D(1) = 0: a node's code steps
+_CODE_STEP = (0, 0) + _EXPONENT_CODE
+_WALK_CHUNK = SEGMENT_WIDTH // 16  # children made at once
+
+
+def _prime_counts(X):
+    """(small, large), int64: small[v] = pi(v) for v <= r = isqrt(X), and
+    large[k] = pi(X // k) for 1 <= k <= r.
+
+    Lucy_Hedgehog's recursion over the O(sqrt X) values v = X // k: S(v)
+    starts at v - 1, the count of 2..v, and each prime p <= r takes from
+    every v >= p^2 the numbers whose least prime factor is p, S(v) -=
+    S(v // p) - S(p - 1), read from the values before p.  For large[k],
+    v // p = X // (k p) is large[k p] while k p <= r (a strided slice)
+    and small[(X // k) // p] after.  One prime is three array updates,
+    O(X^(3/4) / log X) work in all.
+    """
+    r = isqrt(X)
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    quot = X // np.arange(1, r + 1, dtype=np.int64)  # X // k at k - 1
+    large = np.concatenate(([0], quot - 1))
+    for p in primes_up_to(r).tolist():
+        below = small[p - 1]
+        top = min(X // (p * p), r)  # large[k] holds a v >= p^2 for k <= top
+        inner = min(top, r // p)
+        large[1 : inner + 1] -= large[p : p * inner + 1 : p] - below
+        large[inner + 1 : top + 1] -= small[quot[inner:top] // p] - below
+        if p * p <= r:
+            small[p * p :] -= small[np.arange(p * p, r + 1) // p] - below
+    return small, large
+
+
+def _walk_counts(X, fids):
+    """`_decode` of the keys of every n <= X, from a walk that sieves no n.
+
+    The walk visits the nodes c = m q^e: q prime, above every prime of
+    m, and m q^(e+1) <= X.  It goes one level per omega(c), from the
+    root c = 1.  Each n > 1 is counted at the node n / p, p its largest
+    prime.  When p does not divide c, n = c p is one of the pi(X // c)
+    - pi(q) primes p above q (`_prime_counts`), all with c's key plus
+    one.  When p = q, n = m q^(e+1) has c's omega and m's code plus
+    D(e + 1).  The children of c are c q'^e' for the primes q' above q
+    with c q'^(e'+1) <= X.  A level's children are made in chunks of at
+    most _WALK_CHUNK: one `searchsorted` over the cumulative child
+    counts finds each child's node and prime, and one filter per
+    exponent e' keeps those that are still nodes.  Their omega is the
+    level, so a level's counts go by code and exponent into one small
+    tally (bincounts over the nodes' distinct codes; float sums of at
+    most X < 2^53 are exact), folded into the totals when the level
+    ends.  Only the next level's nodes are kept: at X = 10^10 the
+    largest level has 83 k nodes and 2.2 M children, and the walk's
+    traced peak is 13.5 MiB.
+    """
+    r = isqrt(X)
+    small, large = _prime_counts(X)
+    primes = primes_up_to(r)
+    keys = Counter({0: 1, 1: int(large[1])})  # n = 1, and the primes
+    # the nodes of a level: value, index of the largest prime (-1 at the
+    # root), code, and the number of children
+    nodes = [np.array([v], dtype=np.int64) for v in (1, -1, 0, small[r])]
+    omega = 0
+    while nodes[0].size:
+        c, top, code, kids = nodes
+        omega += 1
+        # tally[w, d, j]: the count of the n with omega + w primes and code
+        # codes[j] + D(d); an exponent of n <= X is below X's bit length
+        codes, code = np.unique(code, return_inverse=True)
+        tally = np.zeros((2, X.bit_length(), codes.size))
+        ends = np.cumsum(kids)
+        offset = ends - kids - top - 1  # a child's position minus its prime's index
+        found = []
+        for a in range(0, int(ends[-1]), _WALK_CHUNK):
+            pos = np.arange(a, min(a + _WALK_CHUNK, int(ends[-1])))
+            node = np.searchsorted(ends, pos, side="right")
+            i = pos - offset[node]
+            q, base = primes[i], code[node]
+            n = c[node] * q
+            for e in range(1, len(_CODE_STEP) - 1):  # n = c q^e, n q <= X
+                v = X // n
+                pi = np.where(n <= r, large[np.minimum(n, r)], small[np.minimum(v, r)])
+                counts = np.bincount(base, weights=pi - i - 1)
+                tally[1, e, : counts.size] += counts
+                counts = np.bincount(base)
+                tally[0, e + 1, : counts.size] += counts
+                root = np.sqrt(v).astype(np.int64)
+                root -= root * root > v  # isqrt(v)
+                more = small[root] - i - 1
+                room = more > 0
+                found.append((n[room], i[room], codes[base[room]] + _CODE_STEP[e],
+                              more[room]))
+                keep = v // q >= q  # n q^2 <= X
+                if not keep.any():
+                    break
+                q, i, base = q[keep], i[keep], base[keep]
+                n = n[keep] * q
+        for w, d, j in zip(*np.nonzero(tally)):
+            keys[int(codes[j] + _CODE_STEP[d]) << 4 | omega + int(w)] += int(tally[w, d, j])
+        nodes = [np.concatenate(z) for z in zip(*found)] if found else [c[:0]]
+    return _decode((+keys).items(), fids)  # + drops the zero count of X = 1
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 def _counts_to_sums(counts):
@@ -373,18 +490,30 @@ def _counts_to_sums(counts):
 def interval_counts(x: int, h: int, threads: int = 1, fids=ALL_FNS):
     """Denominator counts of the functions `fids` over x < n <= x+h.
 
-    Each finished segment is folded into the totals at once, and at most
-    `threads` segments are in the pool at a time, so memory does not grow
-    with the number of segments.  One thread sieves on the calling thread.
+    From n = 1 (x = 0) with h >= WALK_MIN_POINT the counts come from
+    the walk (`_walk_counts`), which sieves no n and takes no threads.
+    Every other interval is sieved (`_sieve_counts`).  Both give the
+    same counts.
     """
     if x < 0 or h < 1:
         raise ValueError("need x >= 0 and h >= 1")
-    lo, hi = x + 1, x + h
-    if hi > SIEVE_MAX_POINT:
+    if x + h > SIEVE_MAX_POINT:
         raise CapacityError(
             "interval endpoint beyond the sieve budget "
             f"(needs base primes above {BASE_PRIME_BUDGET})"
         )
+    if x == 0 and h >= WALK_MIN_POINT:
+        return _walk_counts(h, fids)
+    return _sieve_counts(x + 1, x + h, threads, fids)
+
+
+def _sieve_counts(lo, hi, threads, fids):
+    """Denominator counts of the functions `fids` over lo <= n <= hi, sieved.
+
+    Each finished segment is folded into the totals at once, and at most
+    `threads` segments are in the pool at a time, so memory does not grow
+    with the number of segments.  One thread sieves on the calling thread.
+    """
     base = primes_up_to(isqrt(hi))
     totals = {fid: Counter() for fid in fids}
 

@@ -25,7 +25,8 @@ def test_constants_walkthrough_runs():
 
 
 def test_full_range_check_runs():
-    # it sums f1 over n <= 1e8 with the segment sieve on four threads
+    # it sums f1 over n <= 1e8 by the walk, which takes no threads (the
+    # demo asks for four), and n <= 1e5 with the segment sieve
     done = run_demo("full_range_mean_value_check.py")
     assert done.returncode == 0, done.stderr
     assert "100000000" in done.stdout

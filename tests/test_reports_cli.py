@@ -139,9 +139,29 @@ def test_import_builds_no_presieve_pattern():
     assert run_fresh(code).count('"schema"') == 1
 
 
-def run_fresh(code):
-    """stdout of `code` run in a fresh interpreter that imports from src."""
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_unless_set(preset, want):
+    # the package sets it before it imports numpy, which loads OpenBLAS
+    code = (
+        "import os, sys\n"
+        "import shortmean\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import shortmean.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=preset).split() == [want]
+
+
+def run_fresh(code, **preset):
+    """stdout of `code` run in a fresh interpreter that imports from src.
+
+    Each keyword sets an environment variable, or unsets it if None.
+    """
     env = dict(os.environ)
+    for name, value in preset.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", code], env=env,

@@ -23,6 +23,7 @@ from shortmean.sieve import (
     SCATTER_MIN_PRIME,
     SEGMENT_WIDTH,
     SIEVE_MAX_POINT,
+    WALK_MIN_POINT,
     _denominator_counts,
     _mobius_upto,
     _segment_stats,
@@ -463,12 +464,13 @@ def test_interval_counts_memory_stays_flat_in_the_segment_count(threads,
     monkeypatch.setattr(sieve, "_segment_stats", lambda a, b, base: b - a + 1)
     monkeypatch.setattr(sieve, "_denominator_counts",
                         lambda n, fids: {fid: {1: n} for fid in fids})
+    # x > 0, so the intervals are sieved, not walked
     peaks = []
     for segments in (2000, 20000):
-        interval_counts(0, segments * width, threads, ALL_FNS)  # warm caches
-        peaks.append(traced_peak(interval_counts, 0, segments * width,
+        interval_counts(1, segments * width, threads, ALL_FNS)  # warm caches
+        peaks.append(traced_peak(interval_counts, 1, segments * width,
                                  threads, ALL_FNS))
-        assert interval_counts(0, segments * width, threads, ALL_FNS) == {
+        assert interval_counts(1, segments * width, threads, ALL_FNS) == {
             fid: {1: segments * width} for fid in ALL_FNS}
     assert peaks[1] < 2 * peaks[0], peaks
 
@@ -487,3 +489,84 @@ def test_interval_sum_counts_its_own_function_only(monkeypatch):
     assert asked == [(MultFnId.INV_TAU_SQ,)] * 2
     assert one == interval_sums_all(x, h)[MultFnId.INV_TAU_SQ]
     assert asked[2:] == [ALL_FNS] * 2
+
+
+# -- the full range n <= X by the walk -------------------------------------
+
+def test_prime_counts_equal_the_prime_table():
+    for X in (1, 2, 3, 4, 8, 9, 10, 99, 100, 121, 10**4 + 7, 10**6, 3 * 10**6 + 1):
+        small, large = sieve._prime_counts(X)
+        primes, r = primes_up_to(X), isqrt(X)
+        assert small.tolist() == np.searchsorted(
+            primes, np.arange(r + 1), side="right").tolist(), X
+        assert large[1:].tolist() == np.searchsorted(
+            primes, X // np.arange(1, r + 1), side="right").tolist(), X
+
+
+def strict(counts):
+    """The counts as plain dicts, where a zero count is not a missing one."""
+    return {fid: dict(c) for fid, c in counts.items()}
+
+
+@pytest.mark.parametrize("X", [
+    1, 2, 3, 4, 8, 9, 25, 300,
+    503**2 - 1, 503**2, 503**2 + 1,  # the first prime square above the crossover
+    61**3,                           # the last prime cube below it
+    101_500, 1_015_000, 10_150_000,  # the benchmark's 10^j + 15 * 10^(j-3)
+    10**8,
+])
+def test_walk_counts_equal_the_sieve(X):
+    want = sieve._sieve_counts(1, X, 1, ALL_FNS)
+    assert strict(sieve._walk_counts(X, ALL_FNS)) == strict(want)
+
+
+def test_prime_powers_of_the_cross_route_test_straddle_the_crossover():
+    # 499, 503 and 61, 67 are consecutive primes
+    assert 499**2 < WALK_MIN_POINT < 503**2 and 61**3 < WALK_MIN_POINT < 67**3
+
+
+def test_walk_chunks_may_split_a_node(monkeypatch):
+    # 7 children at a time: most chunks end inside a node's run of primes
+    X = 10**5 + 3
+    want = sieve._walk_counts(X, ALL_FNS)
+    monkeypatch.setattr(sieve, "_WALK_CHUNK", 7)
+    assert strict(sieve._walk_counts(X, ALL_FNS)) == strict(want)
+    assert strict(want) == strict(sieve._sieve_counts(1, X, 1, ALL_FNS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2000))
+@example(1024)  # 2^10: the deepest exponent below 2000
+def test_walk_sums_match_brute_force(X):
+    counts = sieve._walk_counts(X, ALL_FNS)
+    for fid in ALL_FNS:
+        assert sieve._counts_to_sums(counts[fid]) == brute_sum(fid, 0, X), fid
+
+
+@pytest.mark.parametrize("X", [10**8, 10**9])
+def test_walk_peak_memory_stays_below_two_segments(X):
+    # chunks of children, and only the next level's nodes kept: with all
+    # of a level's children at once the peak at 10^9 was 33 MiB
+    base = primes_up_to(isqrt(X))
+
+    def segment():
+        _denominator_counts(_segment_stats(1, SEGMENT_WIDTH, base), ALL_FNS)
+
+    segment()  # warm the memos, and the prime table for the walk
+    sieve._walk_counts(X, ALL_FNS)
+    assert traced_peak(sieve._walk_counts, X, ALL_FNS) <= 2 * traced_peak(segment)
+
+
+def test_interval_counts_walks_only_a_full_range_from_the_crossover(monkeypatch):
+    routes = []
+    monkeypatch.setattr(sieve, "_walk_counts",
+                        lambda X, fids: routes.append(("walk", X)))
+    monkeypatch.setattr(sieve, "_sieve_counts",
+                        lambda lo, hi, threads, fids: routes.append(("sieve", lo, hi)))
+    interval_counts(0, WALK_MIN_POINT - 1)
+    interval_counts(0, WALK_MIN_POINT, threads=2)
+    interval_counts(1, WALK_MIN_POINT)
+    with pytest.raises(CapacityError):
+        interval_counts(0, SIEVE_MAX_POINT + 1)
+    assert routes == [("sieve", 1, WALK_MIN_POINT - 1), ("walk", WALK_MIN_POINT),
+                      ("sieve", 2, WALK_MIN_POINT + 1)]
